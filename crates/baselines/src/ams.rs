@@ -259,16 +259,22 @@ impl AmsSketch {
     }
 }
 
-impl Mergeable for AmsSketch {
-    /// Exact merge: `Z_j = Σ_i s_j(i)·f_i` is linear in `f`, so adding counters yields
-    /// the sketch of the concatenated stream (identical dimensions and seed required).
-    fn merge_from(&mut self, other: &Self) {
+impl AmsSketch {
+    fn assert_mergeable(&self, other: &Self) {
         assert!(
             self.groups == other.groups
                 && self.per_group == other.per_group
                 && self.seed == other.seed,
             "AMS shards must share dimensions and sign seed"
         );
+    }
+}
+
+impl Mergeable for AmsSketch {
+    /// Exact merge: `Z_j = Σ_i s_j(i)·f_i` is linear in `f`, so adding counters yields
+    /// the sketch of the concatenated stream (identical dimensions and seed required).
+    fn merge_from(&mut self, other: &Self) {
+        self.assert_mergeable(other);
         self.tracker.begin_epoch();
         self.tracker.record_reads(other.counters.len() as u64);
         let per_group = self.per_group;
@@ -278,6 +284,18 @@ impl Mergeable for AmsSketch {
                     .update(j / per_group, j % per_group, |c| c + v);
             }
         }
+    }
+
+    /// The counters' sum copied straight into this sketch's counters, untracked.
+    fn assign_union(&mut self, shards: &[Self]) -> Result<(), SnapshotError> {
+        for shard in shards {
+            self.assert_mergeable(shard);
+        }
+        let counters = shards
+            .iter()
+            .map(|s| s.counters.iter_untracked().as_slice());
+        crate::assign_sum(self.counters.as_mut_slice_untracked(), counters);
+        Ok(())
     }
 }
 

@@ -232,16 +232,22 @@ impl CountMin {
     }
 }
 
-impl Mergeable for CountMin {
-    /// Exact merge by counter addition: with identical dimensions and hash seed, the
-    /// merged sketch is bit-for-bit the sketch of the concatenated stream.
-    fn merge_from(&mut self, other: &Self) {
+impl CountMin {
+    fn assert_mergeable(&self, other: &Self) {
         assert!(
             self.width == other.width
                 && self.table.rows() == other.table.rows()
                 && self.seed == other.seed,
             "CountMin shards must share width, depth, and hash seed"
         );
+    }
+}
+
+impl Mergeable for CountMin {
+    /// Exact merge by counter addition: with identical dimensions and hash seed, the
+    /// merged sketch is bit-for-bit the sketch of the concatenated stream.
+    fn merge_from(&mut self, other: &Self) {
+        self.assert_mergeable(other);
         // One accounting epoch for the whole merge; reads of the donor sketch are
         // charged to the receiver.
         self.tracker.begin_epoch();
@@ -253,6 +259,16 @@ impl Mergeable for CountMin {
                 }
             }
         }
+    }
+
+    /// The counter tables' sum copied straight into this sketch's table, untracked.
+    fn assign_union(&mut self, shards: &[Self]) -> Result<(), SnapshotError> {
+        for shard in shards {
+            self.assert_mergeable(shard);
+        }
+        let tables = shards.iter().map(|s| s.table.iter_untracked().as_slice());
+        crate::assign_sum(self.table.as_mut_slice_untracked(), tables);
+        Ok(())
     }
 }
 

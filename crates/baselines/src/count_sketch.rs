@@ -217,16 +217,22 @@ impl CountSketch {
     }
 }
 
-impl Mergeable for CountSketch {
-    /// Exact merge by signed-counter addition: with identical dimensions and hash seed,
-    /// the merged sketch equals the sketch of the concatenated stream.
-    fn merge_from(&mut self, other: &Self) {
+impl CountSketch {
+    fn assert_mergeable(&self, other: &Self) {
         assert!(
             self.width == other.width
                 && self.table.rows() == other.table.rows()
                 && self.seed == other.seed,
             "CountSketch shards must share width, depth, and hash seed"
         );
+    }
+}
+
+impl Mergeable for CountSketch {
+    /// Exact merge by signed-counter addition: with identical dimensions and hash seed,
+    /// the merged sketch equals the sketch of the concatenated stream.
+    fn merge_from(&mut self, other: &Self) {
+        self.assert_mergeable(other);
         self.tracker.begin_epoch();
         self.tracker.record_reads(self.table.len() as u64);
         for r in 0..self.table.rows() {
@@ -236,6 +242,16 @@ impl Mergeable for CountSketch {
                 }
             }
         }
+    }
+
+    /// The signed tables' sum copied straight into this sketch's table, untracked.
+    fn assign_union(&mut self, shards: &[Self]) -> Result<(), SnapshotError> {
+        for shard in shards {
+            self.assert_mergeable(shard);
+        }
+        let tables = shards.iter().map(|s| s.table.iter_untracked().as_slice());
+        crate::assign_sum(self.table.as_mut_slice_untracked(), tables);
+        Ok(())
     }
 }
 

@@ -53,6 +53,27 @@ pub(crate) const LANE_BLOCK: usize = 256;
 /// we benchmark; correctness is unaffected either way (prefetch is untracked reads).
 pub(crate) const PREFETCH_MIN_BYTES: usize = 512 * 1024;
 
+/// The untracked [`fsc_state::Mergeable::assign_union`] of the linear sketches:
+/// overwrites `dst` with the element-wise sum of the `shards` counter tables — one
+/// slice copy of the first, then one add pass per further shard, with the same `+`
+/// their tracked `merge_from` applies cell by cell.
+///
+/// # Panics
+///
+/// When `shards` is empty or a table's length differs from `dst`'s.
+pub(crate) fn assign_sum<'a, T>(dst: &mut [T], mut shards: impl Iterator<Item = &'a [T]>)
+where
+    T: Copy + std::ops::AddAssign + 'a,
+{
+    dst.copy_from_slice(shards.next().expect("a union needs at least one shard"));
+    for shard in shards {
+        assert_eq!(dst.len(), shard.len(), "shard tables must have equal size");
+        for (cell, &v) in dst.iter_mut().zip(shard) {
+            *cell += v;
+        }
+    }
+}
+
 /// Serializes a `u64 → u64` counter table in sorted-key order (deterministic bytes:
 /// two observably identical summaries produce identical checkpoints even though hash
 /// map iteration order is an implementation detail).

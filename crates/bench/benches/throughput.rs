@@ -281,22 +281,24 @@ fn bench_batch_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cached serving view vs the restore-and-merge path it replaces, at several
-/// sketch sizes: `Engine::query` answers from the generation-stamped snapshot
-/// (no rebuild while the generation is unchanged), `Engine::query_fresh` pays
-/// the full per-shard `checkpoint`/`restore`/`merge_from` cost on every call.
-/// Measured ratios are recorded in EXPERIMENTS.md §serve — the gap is the
-/// tentpole's acceptance criterion, and it widens with summary size because the
-/// fresh path scales with sketch bytes while the cached path is a stamp compare
-/// plus an `Arc` clone.
+/// The serving view's three costs, at several sketch sizes: `cached` —
+/// `Engine::query` answers from the generation-stamped snapshot (no rebuild
+/// while the generation is unchanged); `fresh` — `Engine::query_fresh` pays the
+/// oracle's per-shard `checkpoint`/`restore`/`merge_from` on every call;
+/// `rebuild` — the writer's per-batch cost: ingest one 1024-item batch, then
+/// `Engine::refresh_view` rebuilds the view as an untracked union into the
+/// recycled buffer; `ingest` — the same batches without the refresh, so
+/// `rebuild − ingest` is the refresh alone.  Measured ratios are recorded in
+/// EXPERIMENTS.md §serve.
 fn bench_serve_paths(c: &mut Criterion) {
     use fsc_engine::{Engine, EngineConfig, Routing};
     use fsc_state::Query;
 
-    // 256 point queries per iteration so the sub-microsecond cached path still
-    // registers on the harness's millisecond display; the printed rate is
-    // therefore Mqueries/s for both paths.
+    // 256 operations per iteration — point queries, or batch-plus-refresh rounds
+    // — so the sub-microsecond cached path still registers on the harness's
+    // millisecond display; the printed rate is therefore Mops/s on every path.
     const QUERIES: u64 = 256;
+    const BATCH: usize = 1024;
     let stream = zipf_stream(N, M, 1.1, 7);
     let mut group = c.benchmark_group("serve_paths");
     group.throughput(Throughput::Elements(QUERIES));
@@ -337,6 +339,25 @@ fn bench_serve_paths(c: &mut Criterion) {
                     sum += answer.scalar().unwrap_or(0.0);
                 }
                 sum
+            })
+        });
+        let mut batches = stream.chunks_exact(BATCH).cycle();
+        group.bench_function(BenchmarkId::new("ingest", &label), |b| {
+            b.iter(|| {
+                for _ in 0..QUERIES {
+                    engine.ingest(batches.next().expect("cycled"));
+                }
+                engine.ingested()
+            })
+        });
+        group.bench_function(BenchmarkId::new("rebuild", &label), |b| {
+            b.iter(|| {
+                let mut rebuilt = 0u32;
+                for _ in 0..QUERIES {
+                    engine.ingest(batches.next().expect("cycled"));
+                    rebuilt += u32::from(engine.refresh_view().expect("rebuild"));
+                }
+                rebuilt
             })
         });
     }

@@ -1,7 +1,7 @@
 //! The sharded engine: replica ownership, routing, cached merged queries,
 //! checkpoints.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use fsc_state::delta::{encode_delta, BaseRef, CheckpointChain};
 use fsc_state::snapshot::{SnapshotReader, SnapshotWriter, TrackerState};
@@ -132,6 +132,10 @@ pub struct Engine<A: EngineAlgorithm> {
     /// The cached merged view queries serve from, shared with any detached
     /// reader handles (see [`ServingView`]).
     view: Arc<ServingView<A>>,
+    /// The buffer the next view build overwrites: the snapshot the last publish
+    /// displaced, kept only if no reader still held it.  One slot — a build that
+    /// finds it empty restores a fresh buffer instead.
+    spare: Mutex<Option<A>>,
     /// Added to the summed shard generations by [`Engine::generation`].  Zero
     /// for the life of a normally-constructed engine; bumped by
     /// [`Engine::restore_from`] so the staleness clock stays strictly monotone
@@ -173,6 +177,7 @@ impl<A: EngineAlgorithm> Engine<A> {
             ingested: 0,
             buffers,
             view: Arc::new(ServingView::new()),
+            spare: Mutex::new(None),
             gen_offset: 0,
         }
     }
@@ -248,16 +253,42 @@ impl<A: EngineAlgorithm> Engine<A> {
         }
     }
 
-    /// Builds the merged serving view: shard 0 is cloned via a checkpoint round trip
-    /// (queries must not disturb shard state, and the snapshot law guarantees the
-    /// clone is observably identical), then every other shard is folded in with
-    /// [`Mergeable::merge_from`].
+    /// The merged summary built the independent way — the **oracle** behind
+    /// [`Engine::query_fresh`], not what the serving view is built with.  Shard
+    /// 0 is cloned via a checkpoint round trip (queries must not disturb shard
+    /// state, and the snapshot law guarantees the clone is observably
+    /// identical), then every other shard is folded in with the tracked
+    /// [`Mergeable::merge_from`].  Allocates a whole summary per call.
     pub fn merged_summary(&self) -> Result<A, SnapshotError> {
         let mut merged = A::restore(&self.shards[0].checkpoint())?;
         for shard in &self.shards[1..] {
             merged.merge_from(shard);
         }
         Ok(merged)
+    }
+
+    /// Builds the serving view and publishes it at `generation`: the shards'
+    /// [`Mergeable::assign_union`] written into the spare buffer — the snapshot
+    /// the previous publish displaced, when no reader held it — or, with no
+    /// spare, into a freshly restored copy of shard 0.  The union reads the
+    /// shards and charges no tracker; a snapshot a reader can still see is never
+    /// written (DESIGN.md §1.7).
+    fn publish_view(&self, generation: u64) -> Result<Arc<A>, SnapshotError> {
+        let spare = self
+            .spare
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let mut view = match spare {
+            Some(buffer) => buffer,
+            None => A::restore(&self.shards[0].checkpoint())?,
+        };
+        view.assign_union(&self.shards)?;
+        let (published, displaced) = self.view.publish(generation, view);
+        if displaced.is_some() {
+            *self.spare.lock().unwrap_or_else(PoisonError::into_inner) = displaced;
+        }
+        Ok(published)
     }
 
     /// The engine's **staleness generation**: the sum of every shard tracker's
@@ -292,7 +323,7 @@ impl<A: EngineAlgorithm> Engine<A> {
         if let Some(view) = self.view.get_if_current(generation) {
             return Ok(view);
         }
-        Ok(self.view.publish(generation, self.merged_summary()?))
+        self.publish_view(generation)
     }
 
     /// Answers a typed query from the **cached** merged view.
@@ -316,9 +347,12 @@ impl<A: EngineAlgorithm> Engine<A> {
         Ok(queries.iter().map(|q| merged.query(q)).collect())
     }
 
-    /// Answers a typed query by **rebuilding** the merged view from the live
-    /// shards, bypassing the cache — the pre-cache `query` semantics, kept as
-    /// the oracle the serve-law tests compare cached answers against.
+    /// Answers a typed query from a [`Engine::merged_summary`] built for this
+    /// call, bypassing the cache.  That build shares nothing with the serving
+    /// view's — a checkpoint round trip and tracked merges into a new summary,
+    /// instead of an untracked union into a recycled buffer — which is what makes
+    /// it the independent oracle the serve-law tests compare cached answers
+    /// against.
     pub fn query_fresh(&self, query: &Query) -> Result<Answer, SnapshotError> {
         Ok(self.merged_summary()?.query(query))
     }
@@ -335,12 +369,19 @@ impl<A: EngineAlgorithm> Engine<A> {
     /// read/write pattern: reader threads serve from [`Engine::serving_view`]
     /// handles while the ingesting thread (which owns `&mut self`) calls this
     /// between batches to push fresh snapshots to them.
+    ///
+    /// A rebuild is an untracked union of the shards into the snapshot the
+    /// previous refresh displaced (when no reader still holds it).  For the
+    /// linear sketches that is one copy and one add pass per further shard over
+    /// the counter tables — no allocation, no checkpoint round trip; other
+    /// summaries keep [`Mergeable::assign_union`]'s restore-and-merge default.
+    /// The server calls this eagerly after every acked batch.
     pub fn refresh_view(&self) -> Result<bool, SnapshotError> {
         let generation = self.generation();
         if self.view.get_if_current(generation).is_some() {
             return Ok(false);
         }
-        self.view.publish(generation, self.merged_summary()?);
+        self.publish_view(generation)?;
         Ok(true)
     }
 
@@ -425,6 +466,7 @@ impl<A: EngineAlgorithm> Engine<A> {
             shards,
             ingested,
             view: Arc::new(ServingView::new()),
+            spare: Mutex::new(None),
             gen_offset: 0,
         })
     }

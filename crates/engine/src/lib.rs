@@ -18,8 +18,10 @@
 //!   so a crash between checkpoints loses only the updates since the last one.
 //!
 //! Queries never disturb shard state, and they almost never rebuild: the merged
-//! view — shard 0 restored from its checkpoint, the remaining shards folded in
-//! with `merge_from` — is built once and published through a generation-stamped
+//! view — the shards' untracked
+//! [`assign_union`](fsc_state::Mergeable::assign_union), written into the
+//! snapshot the previous publish displaced when no reader still holds it — is
+//! built once and published through a generation-stamped
 //! [`ServingView`], then revalidated lazily against [`Engine::generation`], the
 //! engine's state-change clock.  A query on a current view is a lock-free stamp
 //! compare plus an `Arc` clone; a rebuild happens only after a *state change*

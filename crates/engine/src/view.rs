@@ -15,6 +15,10 @@
 //! matching stamp always finds a snapshot at least that fresh in the slot.
 //! Concurrent rebuilds for the same generation are idempotent — both publish
 //! observably identical merged views — so readers never need to coordinate.
+//!
+//! `ServingView::publish` hands back the snapshot it displaced whenever no
+//! reader holds it any more, and the engine rebuilds the next view into that
+//! buffer; a snapshot still visible to a reader is never written.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,18 +70,24 @@ impl<A> ServingView<A> {
         self.read_slot()
     }
 
-    /// Publishes `snapshot` as the view at `generation` and returns it shared.
+    /// Publishes `snapshot` as the view at `generation` and returns it shared,
+    /// together with the snapshot it displaced — but only if no reader still
+    /// holds that one ([`Arc::try_unwrap`] succeeds), so the caller may reuse it
+    /// as the next build's buffer without writing anything a reader can see.
+    /// Once out of the slot a snapshot gains no new readers, so a unique `Arc`
+    /// stays unique.
+    ///
     /// Slot first, stamp second (release): a matching stamp implies the slot
     /// holds a snapshot at least that fresh.
-    pub(crate) fn publish(&self, generation: u64, snapshot: A) -> Arc<A> {
+    pub(crate) fn publish(&self, generation: u64, snapshot: A) -> (Arc<A>, Option<A>) {
         let shared = Arc::new(snapshot);
-        match self.slot.write() {
-            Ok(mut guard) => *guard = Some(Arc::clone(&shared)),
-            Err(poisoned) => *poisoned.into_inner() = Some(Arc::clone(&shared)),
-        }
+        let displaced = match self.slot.write() {
+            Ok(mut guard) => guard.replace(Arc::clone(&shared)),
+            Err(poisoned) => poisoned.into_inner().replace(Arc::clone(&shared)),
+        };
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.stamp.store(generation, Ordering::Release);
-        shared
+        (shared, displaced.and_then(|old| Arc::try_unwrap(old).ok()))
     }
 
     /// Generation the published snapshot was built at (`None` until the first
@@ -170,7 +180,7 @@ mod tests {
     #[test]
     fn publish_then_hit_then_stale() {
         let view: ServingView<u64> = ServingView::new();
-        let shared = view.publish(7, 42);
+        let (shared, _) = view.publish(7, 42);
         assert_eq!(*shared, 42);
         assert_eq!(view.published_stamp(), Some(7));
         assert_eq!(view.rebuilds(), 1);
@@ -184,9 +194,34 @@ mod tests {
     #[test]
     fn readers_hold_snapshots_across_republication() {
         let view: ServingView<Vec<u64>> = ServingView::new();
-        let old = view.publish(1, vec![1, 2, 3]);
+        let (old, _) = view.publish(1, vec![1, 2, 3]);
         view.publish(2, vec![4, 5]);
         assert_eq!(*old, vec![1, 2, 3], "RCU: old readers keep the old epoch");
         assert_eq!(view.snapshot().as_deref(), Some(&vec![4, 5]));
+    }
+
+    #[test]
+    fn publish_returns_the_displaced_snapshot_only_when_unique() {
+        let view: ServingView<Vec<u64>> = ServingView::new();
+        let (first, displaced) = view.publish(1, vec![1]);
+        assert_eq!(displaced, None, "nothing to displace on the first publish");
+        drop(first);
+
+        // No reader holds generation 1: it comes back for reuse.
+        let (second, displaced) = view.publish(2, vec![2]);
+        assert_eq!(displaced, Some(vec![1]));
+
+        // A reader holds generation 2 (here: the publisher's own handle, plus a
+        // handle cloned out of the slot): it stays shared and is not returned.
+        let reader = view.snapshot().expect("published");
+        let (third, displaced) = view.publish(3, vec![3]);
+        assert_eq!(displaced, None, "a held snapshot must never be recycled");
+        assert_eq!(*reader, vec![2]);
+        assert_eq!(*second, vec![2]);
+        drop((reader, second, third));
+
+        // Once the last reader of generation 3 is gone it is recyclable again.
+        let (_fourth, displaced) = view.publish(4, vec![4]);
+        assert_eq!(displaced, Some(vec![3]));
     }
 }

@@ -4,6 +4,14 @@
 //!
 //! # Threading and degradation
 //!
+//! * **A blocking accept loop.**  One thread blocks in `accept` and spawns a
+//!   thread per connection, so a new client is served as soon as it connects
+//!   (no poll interval to wait out).  The listener is bound before recovery
+//!   runs; every path that stops the server — [`ServerHandle::stop`] /
+//!   [`ServerHandle::crash`] / drop, and the `Shutdown` and `Crash` frames —
+//!   sets the stop flag and then connects to the listener once, which wakes
+//!   the loop to see the flag, drop that connection, and join the connection
+//!   threads (each notices the flag within its 10 ms idle read timeout).
 //! * **Writes lock, reads don't.**  Each tenant's engine lives behind a mutex
 //!   taken by ingest/checkpoint; queries go through the engine's lock-free
 //!   [`ServeHandle`] (the cached serving view), so a stalled or overloaded
@@ -38,7 +46,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -66,8 +74,8 @@ use crate::wal::{Durability, Wal, WalAppend};
 pub type EngineFactory =
     Arc<dyn Fn(&str, EngineConfig) -> Option<Box<dyn DynEngine>> + Send + Sync>;
 
-/// Poll interval of the accept loop and the per-connection idle read timeout:
-/// how quickly threads notice the stop flag.
+/// The per-connection idle read timeout (how quickly connection threads notice
+/// the stop flag), and the accept loop's back-off after an accept error.
 const POLL: Duration = Duration::from_millis(10);
 
 /// How long a peer may stall *inside* a frame (between the length prefix and
@@ -232,11 +240,15 @@ impl TenantInner {
 
 /// State shared between the accept loop, connection threads, and the handle.
 struct Shared {
+    /// The listener's bound address: [`Shared::request_stop`] connects here to
+    /// wake the blocking accept loop.
+    addr: SocketAddr,
     tenants: RwLock<HashMap<String, Arc<Tenant>>>,
     factory: EngineFactory,
     data_dir: PathBuf,
     faults: Arc<FaultPlan>,
-    /// Set on shutdown/crash; all loops exit when they see it.
+    /// Set on shutdown/crash (only through [`Shared::request_stop`]); all loops
+    /// exit when they see it.
     stop: AtomicBool,
     /// Ingest requests currently admitted.
     inflight: AtomicUsize,
@@ -249,6 +261,20 @@ struct Shared {
 }
 
 impl Shared {
+    /// Sets the stop flag, then wakes the accept loop — blocked in `accept` —
+    /// with a throwaway self-connection, so it sees the flag at once.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, FRAME_TIMEOUT);
+    }
+
     fn tenant(&self, name: &str) -> Option<Arc<Tenant>> {
         self.tenants.read().unwrap().get(name).cloned()
     }
@@ -300,7 +326,7 @@ impl ServerHandle {
     }
 
     fn halt(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.request_stop();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -344,7 +370,10 @@ impl Server {
         factory: EngineFactory,
     ) -> io::Result<(ServerHandle, RecoveryReport)> {
         std::fs::create_dir_all(&config.data_dir)?;
+        let listener = TcpListener::bind(addr)?;
+        let bound = listener.local_addr()?;
         let shared = Arc::new(Shared {
+            addr: bound,
             tenants: RwLock::new(HashMap::new()),
             factory,
             data_dir: config.data_dir.clone(),
@@ -361,9 +390,6 @@ impl Server {
             .failed_tenants
             .store(report.failed(), Ordering::SeqCst);
 
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?;
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_shared));
         Ok((
@@ -470,17 +496,25 @@ fn recover_tenant(shared: &Shared, name: &str) -> TenantOutcome {
     outcome
 }
 
+/// Blocks in `accept` until a peer connects; every path that sets the stop flag
+/// wakes it with a self-connection ([`Shared::request_stop`]), which is dropped
+/// unserved.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let conn_shared = Arc::clone(&shared);
                 conns.push(std::thread::spawn(move || {
                     handle_connection(stream, conn_shared)
                 }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            // Out of descriptors or a peer that reset before the accept: back
+            // off briefly instead of spinning on a persistent error.
             Err(_) => std::thread::sleep(POLL),
         }
         conns.retain(|c| !c.is_finished());
@@ -559,14 +593,14 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         }
         if matches!(control, Control::Crash) {
             // kill -9: no goodbye frame, nothing persisted.
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.request_stop();
             return;
         }
         if write_frame(&mut stream, &response.encode()).is_err() {
             return;
         }
         if matches!(control, Control::Shutdown) {
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.request_stop();
             return;
         }
     }

@@ -125,6 +125,9 @@ pub trait StreamAlgorithm {
 /// way to combine the *reports* of sharded runs is
 /// [`StateReport::sharded`](crate::StateReport::sharded), which sums the per-shard
 /// epoch/state-change/space counters.
+///
+/// [`Mergeable::assign_union`] is the one exception: it rebuilds a *derived* copy (a
+/// serving view nobody reports on), so it charges no tracker at all.
 pub trait Mergeable {
     /// Merges `other` into `self`.
     ///
@@ -133,6 +136,35 @@ pub trait Mergeable {
     /// Implementations panic when the two summaries are not merge-compatible (different
     /// dimensions, capacities, or hash seeds).
     fn merge_from(&mut self, other: &Self);
+
+    /// Overwrites `self` with the union of `shards`, answering every query exactly as
+    /// `restore(shards[0].checkpoint())` followed by `merge_from` of each later shard
+    /// would — but **charging no tracker**, neither the shards' (they are only read)
+    /// nor `self`'s (whose report is therefore meaningless afterwards).  This is the
+    /// engine's serving-view rebuild: `self` is a recycled buffer, so a summary that
+    /// overrides this (the linear sketches) rebuilds without allocating.
+    ///
+    /// The default is exactly that checkpoint round trip plus tracked merges into a
+    /// fresh summary.
+    ///
+    /// # Panics
+    ///
+    /// When `shards` is empty, or when `self` and the shards are not
+    /// merge-compatible.
+    fn assign_union(&mut self, shards: &[Self]) -> Result<(), SnapshotError>
+    where
+        Self: Snapshot + Sized,
+    {
+        let (first, rest) = shards
+            .split_first()
+            .expect("a union needs at least one shard");
+        let mut union = Self::restore(&first.checkpoint())?;
+        for shard in rest {
+            union.merge_from(shard);
+        }
+        *self = union;
+        Ok(())
+    }
 }
 
 /// A typed question asked of a summary through the capability-agnostic

@@ -16,15 +16,27 @@
 //!    taints the clock strictly forward so pre-failover cached stamps can never
 //!    satisfy a post-failover freshness check).
 //!
-//! A fourth, non-proptest law pins the threaded ingest path: one big batch
+//! Two more laws pin the recycled view buffer (a rebuild overwrites the
+//! snapshot the previous publish displaced, when no reader holds it):
+//!
+//! 4. **Recycled ≡ fresh** — under random interleavings of ingest,
+//!    `refresh_view`, cached queries, reader-held snapshots and `restore_from`,
+//!    every published view answers exactly like `query_fresh`.
+//! 5. **Held snapshots are immutable** — a snapshot a reader took answers
+//!    identically however many refreshes follow, so a buffer is never recycled
+//!    while it is still visible.
+//!
+//! A final, non-proptest law pins the threaded ingest path: one big batch
 //! (which crosses the parallel-ingest threshold) is observably identical to the
 //! same items fed in small serial chunks.
 
 use few_state_changes::baselines::{
     AmsSketch, CountMin, CountSketch, ExactCounting, MisraGries, SpaceSaving,
 };
+use std::sync::Arc;
+
 use few_state_changes::engine::{Engine, EngineAlgorithm, EngineConfig, Routing};
-use few_state_changes::state::{Query, StateTracker, TrackerKind};
+use few_state_changes::state::{Answer, Query, Queryable, StateTracker, TrackerKind};
 use few_state_changes::streamgen::zipf::zipf_stream;
 
 use proptest::prelude::*;
@@ -128,8 +140,125 @@ fn check_serve_laws<A: EngineAlgorithm>(
     );
 }
 
+/// One step of a recycling interleaving: an op code and its argument.
+type Op = (u8, usize);
+
+fn answers<A: Queryable>(view: &A, probes: &[Query]) -> Vec<Answer> {
+    probes.iter().map(|q| view.query(q)).collect()
+}
+
+/// Drives one engine through `ops`, checking laws 4 and 5 after every step.
+/// Op codes: 0–1 ingest the next `arg` items, 2 `refresh_view`, 3 a cached
+/// `query_many`, 4 a reader takes the published snapshot, 5 a reader drops
+/// one, 6 checkpoint + `restore_from`.
+fn check_recycling_laws<A: EngineAlgorithm>(
+    make: impl FnMut(usize) -> A,
+    stream: &[u64],
+    ops: &[Op],
+) {
+    let mut engine = Engine::new(config(3), make);
+    let name = engine.shard(0).name().to_string();
+    let probes = probes();
+    let cell = engine.serving_view();
+    let mut held: Vec<(Arc<A>, Vec<Answer>)> = Vec::new();
+    let mut fed = 0usize;
+    for (step, &(op, arg)) in ops.iter().enumerate() {
+        match op % 7 {
+            0 | 1 => {
+                let start = fed % stream.len();
+                let end = (start + arg).min(stream.len());
+                engine.ingest(&stream[start..end]);
+                fed += end - start;
+            }
+            2 => {
+                engine.refresh_view().expect("refresh");
+                let view = cell.snapshot().expect("a refresh publishes");
+                assert_eq!(
+                    answers(&*view, &probes),
+                    engine.query_fresh_many(&probes).expect("fresh merge"),
+                    "{name}, step {step}: refreshed view diverged from the oracle"
+                );
+            }
+            3 => assert_eq!(
+                engine.query_many(&probes).expect("cached view"),
+                engine.query_fresh_many(&probes).expect("fresh merge"),
+                "{name}, step {step}: cached answers diverged from the oracle"
+            ),
+            4 => {
+                if let Some(view) = cell.snapshot() {
+                    let seen = answers(&*view, &probes);
+                    held.push((view, seen));
+                }
+            }
+            5 => {
+                if !held.is_empty() {
+                    held.swap_remove(arg % held.len());
+                }
+            }
+            _ => {
+                let bytes = engine.checkpoint();
+                engine.restore_from(&bytes).expect("restore_from");
+            }
+        }
+        for (view, seen) in &held {
+            assert_eq!(
+                &answers(&**view, &probes),
+                seen,
+                "{name}, step {step}: a held snapshot changed under its reader"
+            );
+        }
+    }
+    engine.refresh_view().expect("refresh");
+    assert_eq!(
+        answers(&*cell.snapshot().expect("published"), &probes),
+        engine.query_fresh_many(&probes).expect("fresh merge"),
+        "{name}: final view diverged from the oracle"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// All six engine-capable summaries: recycled views equal the oracle, and
+    /// reader-held snapshots never change (laws 4 and 5).
+    #[test]
+    fn recycled_views_match_fresh_and_held_snapshots_never_change(
+        seed in 0u64..1_000,
+        ops in proptest::collection::vec((0u8..7, 0usize..400), 1..40),
+    ) {
+        let stream = zipf_stream(256, 1_200, 1.1, seed);
+
+        check_recycling_laws(
+            |_| CountMin::with_tracker(&StateTracker::with_address_tracking(), 64, 4, seed),
+            &stream,
+            &ops,
+        );
+        check_recycling_laws(
+            |_| CountSketch::with_tracker(&StateTracker::with_address_tracking(), 64, 3, seed),
+            &stream,
+            &ops,
+        );
+        check_recycling_laws(
+            |_| AmsSketch::with_tracker(&StateTracker::with_address_tracking(), 3, 16, seed),
+            &stream,
+            &ops,
+        );
+        check_recycling_laws(
+            |_| ExactCounting::with_tracker(&StateTracker::with_address_tracking(), 2.0),
+            &stream,
+            &ops,
+        );
+        check_recycling_laws(
+            |_| MisraGries::with_tracker(&StateTracker::with_address_tracking(), 8),
+            &stream,
+            &ops,
+        );
+        check_recycling_laws(
+            |_| SpaceSaving::with_tracker(&StateTracker::with_address_tracking(), 8),
+            &stream,
+            &ops,
+        );
+    }
 
     /// All six engine-capable summaries obey the serving-view laws at arbitrary
     /// ingest/query interleavings (random streams, random round boundaries).
@@ -197,6 +326,36 @@ proptest! {
             prop_assert!(after > grown, "restore hop {hop} failed to taint the clock");
             last = after;
         }
+    }
+}
+
+/// Law 5, deterministically: a snapshot held across many dirty refreshes keeps
+/// its answers, while the views published after it track the live shards (so
+/// the refreshes really did rebuild, into buffers other than the held one).
+#[test]
+fn a_held_snapshot_survives_recycling_refreshes() {
+    let stream = zipf_stream(256, 6_000, 1.1, 5);
+    let mut engine = Engine::new(config(4), |_| {
+        CountMin::with_tracker(&StateTracker::new(), 64, 4, 5)
+    });
+    let probes = probes();
+    engine.ingest(&stream[..1_000]);
+    engine.refresh_view().expect("refresh");
+    let held = engine.serving_view().snapshot().expect("published");
+    let seen = answers(&*held, &probes);
+    for batch in stream[1_000..].chunks(1_000) {
+        engine.ingest(batch);
+        assert!(
+            engine.refresh_view().expect("refresh"),
+            "dirty batch rebuilds"
+        );
+        let live = engine.serving_view().snapshot().expect("published");
+        assert_eq!(
+            answers(&*live, &probes),
+            engine.query_fresh_many(&probes).expect("fresh merge")
+        );
+        assert_ne!(answers(&*live, &probes), seen, "the view moved on");
+        assert_eq!(answers(&*held, &probes), seen, "the held snapshot did not");
     }
 }
 
