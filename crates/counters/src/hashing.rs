@@ -112,14 +112,21 @@ impl SubsampleThreshold {
 }
 
 /// Precomputed cutoffs for the geometric subsampling levels `2^{-1}, 2^{-2}, …`:
-/// the deepest level an item reaches becomes one integer binary search instead of a
-/// division plus `log2` plus `floor` per item.
+/// the deepest level an item reaches becomes a leading-zero count and one integer
+/// compare instead of a division plus `log2` plus `floor` per item.
 ///
 /// [`GeometricLevels::deepest`] reproduces the f64 computation
 /// `min(max_level, ⌊−log2(max(hash_unit(x), MIN_POSITIVE))⌋)` **exactly**, including
 /// any rounding quirks of the platform's `log2`, because each level boundary is found
 /// by binary search over that very f64 formula (which is monotone in the hash) rather
 /// than over an idealised `u ≤ 2^{-k}` predicate.
+///
+/// Why one compare suffices: a hash `h ∈ [2^j, 2^{j+1})` converts to an f64 in
+/// `[2^j, 2^{j+1}]` (rounding may reach the upper power), and dividing by
+/// `2^61 − 1`, which is `2^61` as an f64, is exact.  The power-of-two endpoints have
+/// exact logarithms, so `−log2 u` lies in `[60 − j, 61 − j]` and the reference level
+/// is `c = 60 − j` (that is, `leading_zeros(h) − 3`) or `c + 1`; the exact bound of
+/// level `c + 1` decides which.
 #[derive(Debug, Clone)]
 pub struct GeometricLevels {
     /// `bounds[k-1]` = smallest `h` whose f64-computed deepest level is `< k` —
@@ -147,8 +154,19 @@ impl GeometricLevels {
     /// The deepest level in `0..=max_level` reached by a [`PolyHash::hash_u64`] output.
     #[inline]
     pub fn deepest(&self, hash: u64) -> usize {
-        // `bounds` is decreasing, so "hash below bound" holds on a prefix of levels.
-        self.bounds.partition_point(|&b| hash < b)
+        // h = 0 maps to u = MIN_POSITIVE, level 1022: deeper than any table.
+        let candidate = if hash == 0 {
+            usize::MAX
+        } else {
+            (hash.leading_zeros() as usize).saturating_sub(3)
+        };
+        let level = next_level(&self.bounds, candidate, hash);
+        debug_assert_eq!(
+            level,
+            Self::reference_deepest(hash).min(self.max_level()),
+            "hash {hash}"
+        );
+        level
     }
 
     /// The deepest representable level.
@@ -249,9 +267,20 @@ impl FourWise {
     }
 }
 
+/// The level `c` or `c + 1` of a key known to reach level `c` and at most `c + 1`
+/// (clamped to the table's depth), given `bounds[k-1]` = the smallest key whose level
+/// is `< k`: one compare against the bound of level `c + 1`.
+#[inline(always)]
+fn next_level(bounds: &[u64], c: usize, key: u64) -> usize {
+    match bounds.get(c) {
+        Some(&b) => c + (key < b) as usize,
+        None => bounds.len(),
+    }
+}
+
 /// Precomputed cutoffs for the geometric levels of a **unit-interval draw**: the
-/// deepest level `⌊−log2(u)⌋` reached by `u ∈ (0, 1)` becomes one small binary
-/// search instead of an f64 `log2` + `floor` per draw.
+/// deepest level `⌊−log2(u)⌋` reached by `u ∈ (0, 1)` becomes an exponent
+/// extraction and one integer compare instead of an f64 `log2` + `floor` per draw.
 ///
 /// This is the unit-interval sibling of [`GeometricLevels`] (which maps *hash*
 /// outputs to levels): `FullSampleAndHold` draws one uniform per (item, repetition)
@@ -260,6 +289,12 @@ impl FourWise {
 /// **exactly** — each boundary is found by binary search over the f64 bit patterns
 /// (order-isomorphic to the values for non-negative floats) of the very formula it
 /// replaces, rounding quirks included.
+///
+/// Why one compare suffices: a normal `u ∈ [2^e, 2^{e+1})` has `log2 u` in
+/// `[e, e+1]` even after rounding (both endpoints are exact), so the reference level
+/// is `c = −e − 1` or `c + 1`, and `c` is read off the biased exponent field `E` as
+/// `1022 − E`.  Zero and subnormals (`E = 0`) are clamped to `MIN_POSITIVE`, level
+/// 1022, which the same formula yields.
 #[derive(Debug, Clone)]
 pub struct UnitLevels {
     /// `bounds[k-1]` = bits of the smallest `u` whose f64-computed deepest level is
@@ -303,7 +338,15 @@ impl UnitLevels {
     pub fn deepest(&self, u: f64) -> usize {
         debug_assert!((0.0..1.0).contains(&u));
         let bits = u.to_bits();
-        self.bounds.partition_point(|&b| bits < b)
+        // u < 1 has a biased exponent of at most 1022.
+        let candidate = 1022 - (bits >> 52) as usize;
+        let level = next_level(&self.bounds, candidate, bits);
+        debug_assert_eq!(
+            level,
+            Self::reference_deepest(u).min(self.max_level()),
+            "u {u}"
+        );
+        level
     }
 
     /// The deepest representable level.
@@ -622,10 +665,24 @@ mod tests {
     #[test]
     fn geometric_levels_are_equivalent_to_the_f64_computation() {
         // The level counts the Fp estimator instantiates at the recorded experiment
-        // sizes (universe_levels() for m = 2^12 .. 2^20).
-        for max_level in [12usize, 14, 18, 20] {
+        // sizes (universe_levels() for m = 2^12 .. 2^20), plus the shallowest tables
+        // and deep ones around and past the benchmark's.
+        for max_level in [1usize, 2, 12, 14, 18, 20, 22, 23, 40] {
             let levels = GeometricLevels::new(max_level);
             assert_eq!(levels.max_level(), max_level);
+            // ±300 around every power of two, where the O(1) candidate level steps:
+            // the hash 2^(61-k) sits exactly on level k of the idealised predicate.
+            for k in 0..=61u32 {
+                let centre = 1u64 << (61 - k);
+                for probe in centre.saturating_sub(300)..=(centre + 300).min(MERSENNE_61 - 1) {
+                    assert_eq!(
+                        levels.deepest(probe),
+                        GeometricLevels::reference_deepest(probe).min(max_level),
+                        "max_level {max_level}, hash {probe} near 2^{}",
+                        61 - k
+                    );
+                }
+            }
             // Boundary probes around every precomputed bound...
             for k in 1..=max_level {
                 let b = levels.bounds[k - 1];
@@ -655,6 +712,11 @@ mod tests {
         let levels = GeometricLevels::new(19);
         assert_eq!(levels.deepest(0), 19, "h = 0 is kept everywhere");
         assert_eq!(levels.deepest(MERSENNE_61 - 1), 0);
+        // A table deeper than any nonzero hash reaches (level 61, h = 1): a stream
+        // length hint above 2^61 asks for one.
+        let deep = GeometricLevels::new(64);
+        assert_eq!(deep.deepest(0), 64);
+        assert_eq!(deep.deepest(1), 61);
     }
 
     #[test]
@@ -717,10 +779,35 @@ mod tests {
     #[test]
     fn unit_levels_are_equivalent_to_the_f64_computation() {
         // Level counts FullSampleAndHold instantiates at the recorded experiment
-        // sizes (stream_levels() − 1 for m = 2^12 .. 2^20).
-        for max_level in [11usize, 12, 18, 20] {
+        // sizes (stream_levels() − 1 for m = 2^12 .. 2^20), plus the shallowest
+        // tables and deep ones around and past the benchmark's.
+        for max_level in [1usize, 2, 11, 12, 18, 20, 22, 23, 40] {
             let levels = UnitLevels::new(max_level);
             assert_eq!(levels.max_level(), max_level);
+            // ±300 ulps around every power of two below 1 — the normal range down to
+            // MIN_POSITIVE and the subnormals below it — where the exponent-derived
+            // candidate level steps; plus zero and the smallest subnormals.
+            for k in 1..=1074u64 {
+                // Bits of 2^-k: a biased exponent for normals, one mantissa bit below.
+                let centre = if k <= 1022 {
+                    (1023 - k) << 52
+                } else {
+                    1 << (1074 - k)
+                };
+                for bits in centre.saturating_sub(300)..=centre + 300 {
+                    let u = f64::from_bits(bits);
+                    if u < 1.0 {
+                        assert_eq!(
+                            levels.deepest(u),
+                            UnitLevels::reference_deepest(u).min(max_level),
+                            "max_level {max_level}, u {u:e} near 2^-{k}"
+                        );
+                    }
+                }
+            }
+            for u in [0.0, f64::MIN_POSITIVE, f64::from_bits(1), f64::from_bits(2)] {
+                assert_eq!(levels.deepest(u), max_level, "u {u:e}");
+            }
             // Boundary probes around every precomputed bound...
             for k in 1..=max_level {
                 let b = levels.bounds[k - 1];

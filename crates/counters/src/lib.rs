@@ -27,7 +27,7 @@ mod exact;
 pub mod fastmap;
 pub mod hashing;
 pub mod lanes;
-mod morris;
+pub mod morris;
 pub mod stable;
 
 pub use accumulator::GeometricAccumulator;

@@ -12,6 +12,80 @@ use rand::{Rng, RngCore};
 
 use crate::Counter;
 
+/// Largest register value [`acceptance_probability`] is defined for: its exponent
+/// is an `i32`.  Registers restored from untrusted bytes are checked against it.
+pub const MAX_REGISTER: u64 = i32::MAX as u64;
+
+/// Probability `(1+a)^{-x}` that an increment of a register at `x` is accepted.
+///
+/// The one definition every Morris register in the workspace evaluates — the
+/// standalone [`MorrisCounter`] and the inline held counters of `SampleAndHold`
+/// alike — so their sampled decisions agree bit for bit.
+#[inline]
+pub fn acceptance_probability(a: f64, x: u64) -> f64 {
+    (1.0 + a).powi(-(x as i32))
+}
+
+/// Estimated count `((1+a)^x − 1)/a` of a register at `x`.
+#[inline]
+pub fn estimate(a: f64, x: u64) -> f64 {
+    ((1.0 + a).powf(x as f64) - 1.0) / a
+}
+
+/// Memoised [`acceptance_probability`] for one growth parameter `a`:
+/// `table[x] = (1+a)^{-x}`, computed with the very expression it replaces, so a
+/// lookup is bit-identical to the `powi` it saves.
+///
+/// An owner of many registers with one `a` (the held counters of `SampleAndHold`)
+/// keeps one table and reads the next acceptance probability from it on every
+/// accepted increment.  The table grows on demand to the largest register looked up,
+/// up to [`AcceptanceTable::CAP`] entries; registers beyond it are evaluated
+/// directly, which bounds the table's memory however large a register grows (or a
+/// restored one claims to be).
+#[derive(Debug, Clone)]
+pub struct AcceptanceTable {
+    a: f64,
+    table: Vec<f64>,
+}
+
+impl AcceptanceTable {
+    /// Most entries the table ever holds (512 KiB of `f64`s).
+    pub const CAP: usize = 1 << 16;
+
+    /// An empty table for growth parameter `a`.
+    pub fn new(a: f64) -> Self {
+        Self {
+            a,
+            table: Vec::new(),
+        }
+    }
+
+    /// The growth parameter the table is built for.
+    pub fn growth(&self) -> f64 {
+        self.a
+    }
+
+    /// `(1+a)^{-x}`, bit-identical to [`acceptance_probability`].
+    #[inline]
+    pub fn at(&mut self, x: u64) -> f64 {
+        match self.table.get(x as usize) {
+            Some(&p) => p,
+            None => self.grow_to(x),
+        }
+    }
+
+    #[cold]
+    fn grow_to(&mut self, x: u64) -> f64 {
+        let a = self.a;
+        if (x as usize) < Self::CAP {
+            let from = self.table.len() as u64;
+            self.table
+                .extend((from..=x).map(|y| acceptance_probability(a, y)));
+        }
+        acceptance_probability(a, x)
+    }
+}
+
 /// A single Morris counter with growth parameter `a`.
 ///
 /// The classic analysis gives `E[estimate] = n` (unbiased) and
@@ -24,9 +98,8 @@ pub struct MorrisCounter {
     a: f64,
     /// Cached `(1+a)^{-X}` for the current register `X`.  The acceptance probability
     /// only changes when the register advances — `O((1/a)·log(a·n))` times over the
-    /// counter's whole life — so caching it keeps the f64 `powi` off the hot
-    /// increment path of held counters (the dominant path for heavy items in
-    /// `SampleAndHold`) without changing a single sampled decision.
+    /// counter's whole life — so caching it keeps the f64 `powi` off the rejected
+    /// increments without changing a single sampled decision.
     accept_p: f64,
 }
 
@@ -62,30 +135,7 @@ impl MorrisCounter {
 
     /// Probability that the next increment is accepted.
     pub fn acceptance_probability(&self) -> f64 {
-        (1.0 + self.a).powi(-(self.register() as i32))
-    }
-
-    /// First tracked address of the register word (recorded by checkpoints; held
-    /// counters are allocated mid-stream, so their addresses are part of the
-    /// serialized state).
-    pub fn addr_start(&self) -> usize {
-        self.register.addr_start()
-    }
-
-    /// Rebuilds a counter at an explicit register value and tracked address without
-    /// any accounting — the restore path of checkpointing (see
-    /// [`fsc_state::TrackedCell::restore_at`]).  The cached acceptance probability is
-    /// recomputed with the exact expression `increment` maintains, so every future
-    /// decision is bit-identical to the checkpointed counter's.
-    pub fn restore_at(tracker: &StateTracker, a: f64, register: u64, addr_start: usize) -> Self {
-        assert!(a > 0.0 && a <= 1.0, "growth parameter must be in (0, 1]");
-        let mut counter = Self {
-            register: TrackedCell::restore_at(tracker, register, addr_start),
-            a,
-            accept_p: 1.0,
-        };
-        counter.accept_p = counter.acceptance_probability();
-        counter
+        acceptance_probability(self.a, self.register())
     }
 
     /// Sets the register directly, keeping the cached acceptance probability in sync
@@ -101,9 +151,7 @@ impl Counter for MorrisCounter {
     fn increment(&mut self, rng: &mut dyn RngCore) {
         if rng.gen::<f64>() < self.accept_p {
             self.register.modify(|x| x + 1);
-            // Recompute the cache with the exact expression the uncached counter
-            // evaluated per increment, so every future decision is bit-identical.
-            self.accept_p = (1.0 + self.a).powi(-(self.register() as i32));
+            self.accept_p = self.acceptance_probability();
         } else {
             // The rejected increment still reads the register but never writes.
             let _ = self.register.read();
@@ -111,8 +159,7 @@ impl Counter for MorrisCounter {
     }
 
     fn estimate(&self) -> f64 {
-        let x = self.register() as f64;
-        ((1.0 + self.a).powf(x) - 1.0) / self.a
+        estimate(self.a, self.register())
     }
 }
 
@@ -224,6 +271,32 @@ mod tests {
         assert!((c.acceptance_probability() - 0.125).abs() < 1e-12);
         // The cached fast-path probability must track the accessor exactly.
         assert_eq!(c.accept_p.to_bits(), c.acceptance_probability().to_bits());
+    }
+
+    #[test]
+    fn acceptance_table_is_bit_identical_to_powi() {
+        // The practical-profile growth at ε = 0.2, p = 2; the paper-faithful
+        // profile's clamp floor; and the largest growth allowed.
+        for a in [(0.2f64 / 4.0).powi(2), 1e-9, 1.0] {
+            let mut table = AcceptanceTable::new(a);
+            assert_eq!(table.growth(), a);
+            // Out of order first, so growth past a gap is covered, then every x.
+            for x in [17u64, 3, 100_000, 0] {
+                assert_eq!(
+                    table.at(x).to_bits(),
+                    acceptance_probability(a, x).to_bits()
+                );
+            }
+            for x in 0..=100_000u64 {
+                let want = (1.0 + a).powi(-(x as i32));
+                assert_eq!(table.at(x).to_bits(), want.to_bits(), "a {a}, x {x}");
+            }
+            assert!(table.table.len() <= AcceptanceTable::CAP);
+            assert_eq!(
+                table.at(MAX_REGISTER).to_bits(),
+                acceptance_probability(a, MAX_REGISTER).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub struct FpEstimator {
     /// Random level-set boundary shift `λ ∈ [1/2, 1]`.
     lambda: f64,
     /// Reusable per-block level buffer for the batch kernel, allocated once here at
-    /// construction (cached like `MorrisCounter`'s acceptance probability) instead of
-    /// per `process_batch` call.
+    /// construction instead of per `process_batch` call.
     level_scratch: Vec<u16>,
     name: String,
 }

@@ -21,8 +21,10 @@
 //! * the stream position used for age bucketing is the update index supplied by the
 //!   harness (the paper likewise indexes updates by `t` without charging for a clock).
 
+use std::num::NonZeroU32;
+
 use fsc_counters::fastmap::{fast_map, FastMap};
-use fsc_counters::{Counter, MorrisCounter};
+use fsc_counters::morris::{self, AcceptanceTable};
 use fsc_state::snapshot::TrackerState;
 use fsc_state::{
     impl_queryable, FrequencyEstimator, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
@@ -36,11 +38,30 @@ use crate::params::Params;
 /// Stable checkpoint-header id of [`SampleAndHold`].
 const SNAPSHOT_ID: &str = "sample_and_hold";
 
-/// A held per-item counter: the Morris register plus its creation time.
+/// A held per-item Morris counter, inline: the register, its cached acceptance
+/// probability, the tracked address of the register word, and the creation time.
+///
+/// The accounting is exactly that of a [`fsc_counters::MorrisCounter`] over a
+/// `TrackedCell` — one allocated word with an initialisation write, a read plus a
+/// changed write per accepted increment, a read per rejected one, the word released
+/// when the counter drops — charged through the owning [`SampleAndHold`]'s tracker
+/// handle instead of a tracker clone per counter.  A held counter always counted the
+/// occurrence that created it, so its register is never 0.
 #[derive(Debug, Clone)]
 struct HeldCounter {
-    morris: MorrisCounter,
+    register: NonZeroU32,
+    /// `(1+a)^{-register}`, refreshed from the owner's [`AcceptanceTable`] whenever
+    /// the register advances.
+    accept_p: f64,
+    addr: usize,
     created_at: u64,
+}
+
+impl HeldCounter {
+    /// Morris estimate of the occurrences counted since the hold, at growth `a`.
+    fn estimate(&self, a: f64) -> f64 {
+        morris::estimate(a, self.register.get() as u64)
+    }
 }
 
 /// The merged per-item slot: an item known to the summary is in the reservoir
@@ -58,6 +79,10 @@ struct ItemSlot {
     /// Number of reservoir slots currently holding this item.
     reservoir_slots: u32,
 }
+
+// Every update of every copy probes a table of these slots (one copy per level
+// and repetition of the ensembles, 69 at the benchmark's size); keep it compact.
+const _: () = assert!(std::mem::size_of::<ItemSlot>() <= 48);
 
 /// Words charged for the key and creation-time metadata of a held counter
 /// (the Morris register charges its own word).
@@ -78,6 +103,10 @@ pub struct SampleAndHold {
     /// Number of entries currently holding a Morris counter (`items` entries with
     /// `held.is_some()`), maintained incrementally.
     held_len: usize,
+    /// Untracked memo of the held counters' acceptance probabilities (a performance
+    /// aid, like `items`): an accepted increment reads its next probability here
+    /// instead of evaluating `powi`.
+    accept: AcceptanceTable,
     /// Slots that have never been written; preferred over random eviction so that a
     /// lightly-loaded reservoir retains every sampled item (practical deviation noted
     /// in the module docs — the paper always evicts a uniformly random slot).
@@ -109,10 +138,9 @@ pub(crate) const BATCH_BLOCK: usize = 1024;
 /// this for both ensembles.
 ///
 /// `scratch` is the block-level buffer the deepest-level table is built in — owned
-/// by the calling ensemble and allocated once at construction (like MorrisCounter's
-/// cached acceptance probability), so repeated `process_batch` calls reuse one
-/// allocation instead of growing a fresh vector each call.  Contents on entry are
-/// irrelevant; the kernel clears it per block.
+/// by the calling ensemble and allocated once at construction, so repeated
+/// `process_batch` calls reuse one allocation instead of growing a fresh vector each
+/// call.  Contents on entry are irrelevant; the kernel clears it per block.
 pub(crate) fn process_batch_leveled(
     tracker: &StateTracker,
     instances: &mut [Vec<SampleAndHold>],
@@ -165,6 +193,7 @@ impl SampleAndHold {
             reservoir,
             items: fast_map(),
             held_len: 0,
+            accept: AcceptanceTable::new(params.morris_growth()),
             free_slots: (0..kappa).rev().collect(),
             counter_budget,
             sample_prob,
@@ -209,14 +238,24 @@ impl SampleAndHold {
         self.tracker.epochs()
     }
 
-    fn hold_counter(&mut self, item: u64) {
-        let mut morris = MorrisCounter::new(&self.tracker, self.params.morris_growth());
-        // Count the occurrence that triggered the hold.
-        morris.increment(&mut self.rng);
+    fn hold_counter(&mut self, item: u64, reads: &mut u64) {
+        // The register word: allocated and initialised to 0 ...
+        let addr = self.tracker.alloc(1).start;
+        self.tracker.record_write(Some(addr), true);
+        // ... then the occurrence that triggered the hold is counted.  Its draw is
+        // accepted with probability (1+a)^0 = 1 but still consumed.
+        let _ = self.rng.gen::<f64>();
+        *reads += 1;
+        self.tracker.record_write(Some(addr), true);
         self.tracker.alloc(HELD_METADATA_WORDS);
         self.tracker.record_write(None, true);
-        let created_at = self.now();
-        self.items.entry(item).or_default().held = Some(HeldCounter { morris, created_at });
+        let held = HeldCounter {
+            register: NonZeroU32::MIN,
+            accept_p: self.accept.at(1),
+            addr,
+            created_at: self.now(),
+        };
+        self.items.entry(item).or_default().held = Some(held);
         self.held_len += 1;
         if self.held_len > self.counter_budget {
             self.maintain();
@@ -235,10 +274,8 @@ impl SampleAndHold {
             if let Some(held) = &slot.held {
                 let age = now.saturating_sub(held.created_at) + 1;
                 let z = 63 - age.leading_zeros(); // floor(log2(age))
-                buckets
-                    .entry(z)
-                    .or_default()
-                    .push((item, held.morris.estimate()));
+                let estimate = held.estimate(self.accept.growth());
+                buckets.entry(z).or_default().push((item, estimate));
             }
         }
 
@@ -251,7 +288,6 @@ impl SampleAndHold {
             }
         }
         for item in to_remove {
-            // The Morris register's word is released when the counter drops.
             let slot = self
                 .items
                 .get_mut(&item)
@@ -261,6 +297,8 @@ impl SampleAndHold {
             if slot.reservoir_slots == 0 {
                 self.items.remove(&item);
             }
+            // The register word, then the metadata words.
+            self.tracker.dealloc(1);
             self.tracker.dealloc(HELD_METADATA_WORDS);
             self.tracker.record_write(None, true);
         }
@@ -282,15 +320,25 @@ impl SampleAndHold {
         *reads += 1;
         match self.items.get_mut(&item) {
             // 1. Already held: update its Morris counter (a state change only when
-            //    the probabilistic register advances).
-            Some(slot) if slot.held.is_some() => {
-                let held = slot.held.as_mut().expect("checked above");
-                held.morris.increment(&mut self.rng);
+            //    the probabilistic register advances).  Accepted or not, the
+            //    increment reads the register.
+            Some(ItemSlot {
+                held: Some(held), ..
+            }) => {
+                *reads += 1;
+                if self.rng.gen::<f64>() < held.accept_p {
+                    self.tracker.record_write(Some(held.addr), true);
+                    held.register = held
+                        .register
+                        .checked_add(1)
+                        .expect("Morris register overflow");
+                    held.accept_p = self.accept.at(held.register.get() as u64);
+                }
             }
             // 2. In the reservoir: start holding a counter for it.
             Some(_) => {
                 *reads += 1;
-                self.hold_counter(item);
+                self.hold_counter(item, reads);
             }
             // 3. Otherwise: sample it into the reservoir with probability ϱ.
             None => {
@@ -356,8 +404,8 @@ impl SampleAndHold {
                 Some(held) => {
                     w.bool(true);
                     w.u64(held.created_at);
-                    w.u64(held.morris.register());
-                    w.usize(held.morris.addr_start());
+                    w.u64(held.register.get() as u64);
+                    w.usize(held.addr);
                 }
                 None => w.bool(false),
             }
@@ -398,9 +446,10 @@ impl SampleAndHold {
         for slot in self.reservoir.as_mut_slice_untracked() {
             *slot = r.u64()?;
         }
+        // Dropping the current counters releases their register words.
+        self.tracker.dealloc(self.held_len);
         self.items.clear();
         self.held_len = 0;
-        let growth = self.params.morris_growth();
         // Minimum serialized entry: key (8) + slots (4) + held flag (1).
         let entries = r.len_prefix(13)?;
         for _ in 0..entries {
@@ -409,10 +458,17 @@ impl SampleAndHold {
             let held = if r.bool()? {
                 let created_at = r.u64()?;
                 let register = r.u64()?;
-                let addr_start = r.usize()?;
+                let addr = r.usize()?;
+                if register > morris::MAX_REGISTER {
+                    return Err(SnapshotError::Corrupt("Morris register out of range"));
+                }
+                let register = NonZeroU32::new(register as u32)
+                    .ok_or(SnapshotError::Corrupt("held Morris register is zero"))?;
                 self.held_len += 1;
                 Some(HeldCounter {
-                    morris: MorrisCounter::restore_at(&self.tracker, growth, register, addr_start),
+                    register,
+                    accept_p: self.accept.at(register.get() as u64),
+                    addr,
                     created_at,
                 })
             } else {
@@ -472,6 +528,13 @@ impl StreamAlgorithm for SampleAndHold {
     }
 }
 
+impl Drop for SampleAndHold {
+    /// Releases the held counters' register words, as dropping each counter did.
+    fn drop(&mut self) {
+        self.tracker.dealloc(self.held_len);
+    }
+}
+
 impl_queryable!(SampleAndHold: [frequency]);
 
 impl Snapshot for SampleAndHold {
@@ -515,7 +578,7 @@ impl FrequencyEstimator for SampleAndHold {
     fn estimate(&self, item: u64) -> f64 {
         match self.items.get(&item) {
             Some(slot) => match &slot.held {
-                Some(held) => 1.0 + held.morris.estimate(),
+                Some(held) => 1.0 + held.estimate(self.accept.growth()),
                 None => 1.0, // reservoir-only: the sampled occurrence itself
             },
             None => 0.0,
@@ -647,6 +710,21 @@ mod tests {
             assert_eq!(alg.estimate(item), 1.0);
         }
         assert_eq!(alg.estimate(u64::MAX - 7), 0.0);
+    }
+
+    #[test]
+    fn dropping_an_instance_releases_the_reservoir_and_register_words() {
+        // As dropping the reservoir and every held MorrisCounter did: the metadata
+        // words stay charged, like before.
+        let n = 1 << 12;
+        let tracker = StateTracker::new();
+        let mut alg = SampleAndHold::new(&params(n, 4 * n, 0.3), 4 * n, &tracker, 4);
+        alg.process_stream(&zipf_stream(n, 4 * n, 1.1, 4));
+        assert!(alg.held_counters() > 0);
+        let released = alg.reservoir_slots() + alg.held_counters();
+        let before = tracker.words_current();
+        drop(alg);
+        assert_eq!(tracker.words_current(), before - released);
     }
 
     #[test]

@@ -77,32 +77,6 @@ impl<T: PartialEq> TrackedCell<T> {
     pub fn set_untracked(&mut self, value: T) {
         self.value = value;
     }
-
-    /// Rebuilds a cell at an explicit tracked address, performing **no** allocation
-    /// and **no** write accounting — the restore path for cells that were allocated
-    /// dynamically mid-stream (e.g. held Morris-counter registers), whose addresses a
-    /// checkpoint records so that post-restore wear lands exactly where it would have
-    /// on the original.  Must be followed by
-    /// [`crate::StateTracker::import_state`], which restores the allocation cursor
-    /// and space accounts this bypassed.
-    pub fn restore_at(tracker: &StateTracker, value: T, addr_start: usize) -> Self {
-        let words = words_of::<T>();
-        Self {
-            value,
-            tracker: tracker.clone(),
-            addr: AddrRange {
-                start: addr_start,
-                len: words,
-            },
-            words,
-        }
-    }
-
-    /// First tracked address of this cell (recorded by checkpoints so
-    /// [`TrackedCell::restore_at`] can rebuild it in place).
-    pub fn addr_start(&self) -> usize {
-        self.addr.start
-    }
 }
 
 impl<T> Drop for TrackedCell<T> {

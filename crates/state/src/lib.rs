@@ -90,6 +90,26 @@ pub fn words_of<T>() -> usize {
     std::mem::size_of::<T>().div_ceil(8).max(1)
 }
 
+/// Charges the initialisation writes of `len` freshly allocated elements of
+/// `elem_words` words each at `addr`: one changed write on the first word of every
+/// element.  Single-word elements form one contiguous run, charged with a single
+/// [`StateTracker::record_changed_run`] — by contract the bulk equivalent of the
+/// per-word `record_write(changed = true)` loop wider elements still use.
+pub(crate) fn charge_init_writes(
+    tracker: &StateTracker,
+    addr: AddrRange,
+    len: usize,
+    elem_words: usize,
+) {
+    if elem_words == 1 {
+        tracker.record_changed_run(Some(addr.start), len as u64);
+    } else {
+        for i in 0..len {
+            tracker.record_write(Some(addr.word(i * elem_words)), true);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,5 +121,45 @@ mod tests {
         assert_eq!(words_of::<u64>(), 1);
         assert_eq!(words_of::<u128>(), 2);
         assert_eq!(words_of::<[u64; 5]>(), 5);
+    }
+
+    /// `filled` constructors charge their initialisation with one bulk run; every
+    /// backend must account it exactly like the per-word loop it replaced —
+    /// counters, wear table, staleness clock — including construction inside an
+    /// open epoch, where the whole initialisation is one state change.
+    #[test]
+    fn bulk_init_charge_matches_the_per_word_loop() {
+        for kind in [
+            TrackerKind::Full,
+            TrackerKind::FullAddressTracked,
+            TrackerKind::Lean,
+        ] {
+            for open_epoch in [false, true] {
+                let bulk = StateTracker::of_kind(kind);
+                let looped = StateTracker::of_kind(kind);
+                if open_epoch {
+                    bulk.begin_epoch();
+                    looped.begin_epoch();
+                }
+                let _v = TrackedVec::filled(&bulk, 37, 0u64);
+                let _m = TrackedMatrix::filled(&bulk, 3, 5, 0u32);
+                let _wide = TrackedVec::filled(&bulk, 4, [0u64; 2]);
+                for (len, elem_words) in [(37, 1), (15, 1), (4, 2)] {
+                    let addr = looped.alloc(len * elem_words);
+                    for i in 0..len {
+                        looped.record_write(Some(addr.word(i * elem_words)), true);
+                    }
+                }
+                let label = format!("{kind:?}, open epoch {open_epoch}");
+                assert_eq!(bulk.snapshot(), looped.snapshot(), "{label}");
+                assert_eq!(bulk.address_writes(), looped.address_writes(), "{label}");
+                assert_eq!(
+                    bulk.state_change_generation(),
+                    looped.state_change_generation(),
+                    "{label}"
+                );
+                assert_eq!(bulk.state_changes(), u64::from(open_epoch), "{label}");
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! A tracked two-dimensional array stored in one contiguous allocation.
 
 use crate::tracker::{AddrRange, StateTracker};
-use crate::words_of;
+use crate::{charge_init_writes, words_of};
 
 /// A tracked `rows × width` matrix backed by a single row-major `Vec`.
 ///
@@ -40,9 +40,7 @@ impl<T: PartialEq + Clone> TrackedMatrix<T> {
         let elem_words = words_of::<T>();
         let len = rows * width;
         let addr = tracker.alloc(len * elem_words);
-        for i in 0..len {
-            tracker.record_write(Some(addr.word(i * elem_words)), true);
-        }
+        charge_init_writes(tracker, addr, len, elem_words);
         Self {
             data: vec![init; len],
             rows,

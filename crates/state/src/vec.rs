@@ -1,7 +1,7 @@
 //! A tracked fixed-or-growable array of values.
 
 use crate::tracker::{AddrRange, StateTracker};
-use crate::words_of;
+use crate::{charge_init_writes, words_of};
 
 /// A tracked vector: every element mutation is charged to the owning [`StateTracker`].
 ///
@@ -24,9 +24,7 @@ impl<T: PartialEq + Clone> TrackedVec<T> {
     pub fn filled(tracker: &StateTracker, len: usize, init: T) -> Self {
         let elem_words = words_of::<T>();
         let addr = tracker.alloc(len * elem_words);
-        for i in 0..len {
-            tracker.record_write(Some(addr.word(i * elem_words)), true);
-        }
+        charge_init_writes(tracker, addr, len, elem_words);
         Self {
             data: vec![init; len],
             tracker: tracker.clone(),

@@ -23,6 +23,7 @@ use few_state_changes::baselines::{
     AmsSketch, CountMin, CountSketch, ExactCounting, MisraGries, PickAndDrop, SampleAndHoldClassic,
     SpaceSaving,
 };
+use few_state_changes::counters::morris;
 use few_state_changes::engine::{Engine, EngineAlgorithm, EngineConfig, Routing};
 use few_state_changes::state::{
     EntropyEstimator, FrequencyEstimator, MomentEstimator, Query, Snapshot, SnapshotError,
@@ -460,4 +461,37 @@ fn corrupt_checkpoints_error_instead_of_panicking() {
             "ensemble truncation at {cut} unexpectedly restored"
         );
     }
+
+    // A held Morris register that is zero or does not fit the acceptance exponent
+    // is a typed error, never a silent wrap.  Entries are serialized in key order,
+    // each held one as `key | slots u32 | 1 | created_at | register | address`, so
+    // a heavy item with the largest key puts its register 16 bytes from the end.
+    let heavy = u64::MAX - 1;
+    let mut stream = zipf_stream(128, 256, 1.2, 5);
+    stream.extend(std::iter::repeat_n(heavy, 64));
+    let mut sah = SampleAndHold::standalone(&params);
+    sah.process_stream(&stream);
+    assert!(sah.holds_counter(heavy));
+    let bytes = sah.checkpoint();
+    let at = bytes.len() - 16;
+    let register = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert_eq!(
+        1.0 + morris::estimate(params.morris_growth(), register),
+        sah.estimate(heavy),
+        "the trailing entry is the heavy item's held counter"
+    );
+    for bad in [0, morris::MAX_REGISTER + 1, u32::MAX as u64 + 1, u64::MAX] {
+        let mut corrupt = bytes.clone();
+        corrupt[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+        assert!(
+            matches!(
+                SampleAndHold::restore(&corrupt),
+                Err(SnapshotError::Corrupt(_))
+            ),
+            "register {bad} restored"
+        );
+    }
+    let mut widest = bytes.clone();
+    widest[at..at + 8].copy_from_slice(&morris::MAX_REGISTER.to_le_bytes());
+    assert!(SampleAndHold::restore(&widest).is_ok());
 }
