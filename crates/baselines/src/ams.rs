@@ -59,8 +59,8 @@ impl AmsSketch {
         Self::with_tracker(&StateTracker::new(), groups, per_group, seed)
     }
 
-    /// Creates a sketch attached to a caller-supplied tracker (e.g. a lean one from
-    /// [`StateTracker::lean`], which makes the sketch `Send` for sharded runs).
+    /// Creates a sketch attached to a caller-supplied tracker (e.g. an
+    /// address-tracked one for wear analysis, or one per shard in sharded runs).
     pub fn with_tracker(
         tracker: &StateTracker,
         groups: usize,

@@ -42,8 +42,8 @@ impl CountMin {
         Self::with_tracker(&StateTracker::new(), width, depth, seed)
     }
 
-    /// Creates a sketch attached to a caller-supplied tracker (e.g. a lean one from
-    /// [`StateTracker::lean`], which makes the sketch `Send` for sharded runs).
+    /// Creates a sketch attached to a caller-supplied tracker (e.g. an
+    /// address-tracked one for wear analysis, or one per shard in sharded runs).
     pub fn with_tracker(tracker: &StateTracker, width: usize, depth: usize, seed: u64) -> Self {
         assert!(width >= 1 && depth >= 1);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -220,7 +220,7 @@ impl CountMin {
             // Scatter phase.  The accounting lands in two bulk calls that are
             // call-for-call equivalent to the per-item loop: reads are a global sum,
             // and `record_scatter_epochs` enters each item's epoch and charges its
-            // `depth` changed addresses (constant-time on the counting backends).
+            // `depth` changed addresses (constant-time in the tracker's counters).
             let probes = block.len() * depth;
             for (i, &cell) in cells[..probes].iter().enumerate() {
                 data[cell] += 1;

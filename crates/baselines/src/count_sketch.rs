@@ -46,8 +46,8 @@ impl CountSketch {
         Self::with_tracker(&StateTracker::new(), width, depth, seed)
     }
 
-    /// Creates a sketch attached to a caller-supplied tracker (e.g. a lean one from
-    /// [`StateTracker::lean`], which makes the sketch `Send` for sharded runs).
+    /// Creates a sketch attached to a caller-supplied tracker (e.g. an
+    /// address-tracked one for wear analysis, or one per shard in sharded runs).
     pub fn with_tracker(tracker: &StateTracker, width: usize, depth: usize, seed: u64) -> Self {
         assert!(width >= 1 && depth >= 1);
         let mut rng = StdRng::seed_from_u64(seed);

@@ -30,8 +30,8 @@ impl ExactCounting {
         Self::with_tracker(&StateTracker::new(), p)
     }
 
-    /// Creates an exact counter attached to a caller-supplied tracker (e.g. a lean one
-    /// from [`StateTracker::lean`], which makes the counter `Send` for sharded runs).
+    /// Creates an exact counter attached to a caller-supplied tracker (e.g. an
+    /// address-tracked one for wear analysis, or one per shard in sharded runs).
     pub fn with_tracker(tracker: &StateTracker, p: f64) -> Self {
         Self {
             counts: FastTrackedMap::new(tracker),

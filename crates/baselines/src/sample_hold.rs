@@ -38,7 +38,7 @@ impl SampleAndHoldClassic {
     }
 
     /// Creates an instance attached to a caller-supplied tracker (e.g. an
-    /// address-tracked one for wear analysis, or a lean one for sharded runs).
+    /// address-tracked one for wear analysis, or one per shard in sharded runs).
     pub fn with_tracker(tracker: &StateTracker, sample_prob: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&sample_prob));
         Self {

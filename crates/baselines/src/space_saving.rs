@@ -30,8 +30,8 @@ impl SpaceSaving {
         Self::with_tracker(&StateTracker::new(), k)
     }
 
-    /// Creates a summary attached to a caller-supplied tracker (e.g. a lean one from
-    /// [`StateTracker::lean`], which makes the summary `Send` for sharded runs).
+    /// Creates a summary attached to a caller-supplied tracker (e.g. an
+    /// address-tracked one for wear analysis, or one per shard in sharded runs).
     pub fn with_tracker(tracker: &StateTracker, k: usize) -> Self {
         assert!(k >= 1);
         Self {

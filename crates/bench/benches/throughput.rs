@@ -71,38 +71,6 @@ fn bench_updates(c: &mut Criterion) {
     group.finish();
 }
 
-/// Update-path cost of the exact-accounting `FullTracker` vs the atomic `LeanTracker`,
-/// holding the algorithm fixed.  The measured ratio is recorded in EXPERIMENTS.md
-/// (satellite of the backend refactor): CountMin stresses `record_write`/`record_reads`
-/// density (depth writes per update), SampleAndHold stresses `begin_epoch`/`epochs`
-/// polling with sparse writes.
-fn bench_tracker_backends(c: &mut Criterion) {
-    let stream = zipf_stream(N, M, 1.1, 7);
-    let mut group = c.benchmark_group("tracker_backends");
-    group.throughput(Throughput::Elements(M as u64));
-    group.sample_size(10);
-
-    for (label, kind) in [("full", TrackerKind::Full), ("lean", TrackerKind::Lean)] {
-        group.bench_function(BenchmarkId::new("CountMin", label), |b| {
-            b.iter(|| {
-                let tracker = StateTracker::of_kind(kind);
-                let mut alg = CountMin::with_tracker(&tracker, 1 << 10, 4, 1);
-                alg.process_stream(&stream);
-                alg.report().state_changes
-            })
-        });
-        group.bench_function(BenchmarkId::new("SampleAndHold", label), |b| {
-            b.iter(|| {
-                let mut alg =
-                    SampleAndHold::standalone(&Params::new(2.0, 0.2, N, M).with_tracker(kind));
-                alg.process_stream(&stream);
-                alg.report().state_changes
-            })
-        });
-    }
-    group.finish();
-}
-
 /// The pre-PR CountMin storage layout: one boxed `TrackedVec` per sketch row, driven
 /// by per-item `update()` epochs.  Kept here (bench-only) as the reference point for
 /// the flat-matrix + batched-epoch hot path; accounting semantics are identical, so
@@ -367,7 +335,6 @@ fn bench_serve_paths(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_updates,
-    bench_tracker_backends,
     bench_flat_vs_rows,
     bench_batch_kernels,
     bench_serve_paths

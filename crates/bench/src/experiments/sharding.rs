@@ -1,7 +1,7 @@
 //! Experiment F11 — sharded parallel execution of mergeable summaries.
 //!
 //! Splits one Zipfian stream across `S` shards, runs each shard's summary on its own
-//! thread over a lean (`Send + Sync`, atomic-counter) tracker, merges the shard
+//! thread over its own (`Send + Sync`) tracker, merges the shard
 //! summaries, and compares the merged answers and total accounting against a serial
 //! run of the same summary:
 //!
@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use fsc_baselines::{CountMin, CountSketch, MisraGries, SpaceSaving};
-use fsc_state::{FrequencyEstimator, Mergeable, StateTracker, StreamAlgorithm};
+use fsc_state::{FrequencyEstimator, Mergeable, StreamAlgorithm};
 use fsc_streamgen::zipf::zipf_stream;
 use fsc_streamgen::FrequencyVector;
 
@@ -97,40 +97,38 @@ pub fn run(scale: Scale) -> (Table, Vec<Row>) {
     let k = 256;
     let (width, depth, sketch_seed) = (scale.pick(512, 2048), 4, 1234);
 
-    // Serial baseline and shards both run on the lean tracker: the wall-clock columns
-    // then isolate sharding itself rather than mixing in the full-vs-lean accounting
-    // overhead (measured separately by the `tracker_backends` bench).  State-change
-    // counts are identical under either backend.
+    // Serial baseline and shards both run on the exact tracker, so the wall-clock
+    // columns compare equal accounting work and isolate sharding itself.
     let rows = vec![
         compare(
             "CountMin",
             &stream,
             &candidates,
-            || CountMin::with_tracker(&StateTracker::lean(), width, depth, sketch_seed),
+            || CountMin::new(width, depth, sketch_seed),
             // Linear sketches shard with the *same* seed (identical hash functions are
             // what make the merge exact).
-            |_| CountMin::with_tracker(&StateTracker::lean(), width, depth, sketch_seed),
+            |_| CountMin::new(width, depth, sketch_seed),
         ),
         compare(
             "CountSketch",
             &stream,
             &candidates,
-            || CountSketch::with_tracker(&StateTracker::lean(), width, depth + 1, sketch_seed),
-            |_| CountSketch::with_tracker(&StateTracker::lean(), width, depth + 1, sketch_seed),
+            || CountSketch::new(width, depth + 1, sketch_seed),
+            |_| CountSketch::new(width, depth + 1, sketch_seed),
         ),
         compare(
             "MisraGries",
             &stream,
             &candidates,
-            || MisraGries::with_tracker(&StateTracker::lean(), k),
-            |_| MisraGries::with_tracker(&StateTracker::lean(), k),
+            || MisraGries::new(k),
+            |_| MisraGries::new(k),
         ),
         compare(
             "SpaceSaving",
             &stream,
             &candidates,
-            || SpaceSaving::with_tracker(&StateTracker::lean(), k),
-            |_| SpaceSaving::with_tracker(&StateTracker::lean(), k),
+            || SpaceSaving::new(k),
+            |_| SpaceSaving::new(k),
         ),
     ];
 

@@ -31,7 +31,6 @@
 
 use std::time::Instant;
 
-use fsc_state::TrackerKind;
 use fsc_streamgen::netflow::{flow_trace, FlowTraceSpec};
 use fsc_streamgen::uniform::uniform_stream;
 use fsc_streamgen::zipf::zipf_stream;
@@ -76,7 +75,8 @@ impl Mode {
 pub struct Row {
     /// Algorithm name (as reported by [`fsc_state::StreamAlgorithm::name`]).
     pub algorithm: String,
-    /// Tracker backend the instance ran with (`"full"` or `"lean"`).
+    /// Tracker the instance ran with: always `"full"` (rows recorded before the
+    /// lean tracker was retired may also say `"lean"`).
     pub tracker: &'static str,
     /// Stream label.
     pub stream: String,
@@ -396,31 +396,22 @@ pub fn extract_cell(old_json: &str, algorithm: &str, tracker: &str, stream: &str
     None
 }
 
-/// The measured cases, as `(registry id, tracker backend)` pairs — the constructor
-/// bodies live in [`crate::registry`] (shared with the engine experiment and every
-/// fig binary), so this experiment only names *which* entries it times and under
-/// which backend.  Order and parameters reproduce the recorded
-/// `BENCH_throughput.json` rows exactly.
-const CASES: &[(&str, TrackerKind)] = &[
-    ("sample_and_hold", TrackerKind::Full),
-    ("few_state_heavy_hitters", TrackerKind::Full),
-    ("fp_estimator", TrackerKind::Full),
-    ("sparse_recovery", TrackerKind::Full),
-    ("misra_gries", TrackerKind::Full),
-    ("space_saving", TrackerKind::Full),
-    ("count_min", TrackerKind::Full),
-    ("count_min", TrackerKind::Lean),
-    ("count_sketch", TrackerKind::Full),
-    ("ams", TrackerKind::Full),
-    ("sample_and_hold_classic", TrackerKind::Full),
+/// The measured registry ids — the constructor bodies live in [`crate::registry`]
+/// (shared with the engine experiment and every fig binary), so this experiment only
+/// names *which* entries it times, each on the default exact tracker.  Order and
+/// parameters reproduce the recorded `BENCH_throughput.json` rows exactly.
+const CASES: &[&str] = &[
+    "sample_and_hold",
+    "few_state_heavy_hitters",
+    "fp_estimator",
+    "sparse_recovery",
+    "misra_gries",
+    "space_saving",
+    "count_min",
+    "count_sketch",
+    "ams",
+    "sample_and_hold_classic",
 ];
-
-fn tracker_label(kind: TrackerKind) -> &'static str {
-    match kind {
-        TrackerKind::Full | TrackerKind::FullAddressTracked => "full",
-        TrackerKind::Lean => "lean",
-    }
-}
 
 /// Runs the throughput sweep over the requested mode(s) and returns the printed
 /// table plus the raw report.  `lanes` overrides the batch-kernel lane width of
@@ -455,11 +446,10 @@ pub fn run(scale: Scale, mode: Mode, lanes: Option<usize>) -> (Table, Report) {
         rows: Vec::new(),
     };
 
-    for &(id, kind) in CASES {
+    for &id in CASES {
         let make = spec(id)
             .unwrap_or_else(|| panic!("unknown registry id {id}"))
             .make;
-        let tracker = tracker_label(kind);
         for (label, universe, stream) in &streams {
             for run_mode in ["batch", "item"] {
                 if !mode.includes(run_mode) {
@@ -470,9 +460,7 @@ pub fn run(scale: Scale, mode: Mode, lanes: Option<usize>) -> (Table, Report) {
                 let mut algorithm = String::new();
                 // One warm-up + `samples` timed runs, each on a fresh instance.
                 for sample in 0..=samples {
-                    let ctx = MakeCtx::new(*universe, stream.len())
-                        .with_tracker(kind)
-                        .with_lanes(lanes);
+                    let ctx = MakeCtx::new(*universe, stream.len()).with_lanes(lanes);
                     let mut alg = make(&ctx);
                     let start = Instant::now();
                     match run_mode {
@@ -492,7 +480,7 @@ pub fn run(scale: Scale, mode: Mode, lanes: Option<usize>) -> (Table, Report) {
                 }
                 report.rows.push(Row {
                     algorithm,
-                    tracker,
+                    tracker: "full",
                     stream: label.clone(),
                     mode: run_mode,
                     items: stream.len(),
@@ -538,7 +526,7 @@ mod tests {
     #[test]
     fn quick_sweep_measures_every_cell_in_both_modes() {
         let (table, report) = run(Scale::Quick, Mode::Both, None);
-        assert_eq!(report.rows.len(), 11 * 3 * 2);
+        assert_eq!(report.rows.len(), CASES.len() * 3 * 2);
         assert_eq!(report.lane_width, fsc_counters::lanes::DEFAULT_LANE_WIDTH);
         assert!(report.host_cores >= 1);
         assert_eq!(table.len(), report.rows.len());
@@ -570,7 +558,7 @@ mod tests {
     fn single_mode_runs_measure_only_that_mode() {
         let (_, report) = run(Scale::Quick, Mode::Batch, Some(1));
         assert!(report.rows.iter().all(|r| r.mode == "batch"));
-        assert_eq!(report.rows.len(), 11 * 3);
+        assert_eq!(report.rows.len(), CASES.len() * 3);
         assert_eq!(report.lane_width, 1, "--lanes override is recorded");
         assert!(Mode::parse("nope").is_none());
         assert_eq!(Mode::parse("item"), Some(Mode::Item));

@@ -33,7 +33,7 @@ use fsc_baselines::{
 use fsc_engine::{DynEngine, Engine, EngineConfig};
 use fsc_state::{Queryable, Snapshot, StateTracker, TrackerKind};
 
-/// Construction context: the workload hints and tracker backend a constructor sizes
+/// Construction context: the workload hints and tracker kind a constructor sizes
 /// its instance for.
 #[derive(Debug, Clone, Copy)]
 pub struct MakeCtx {
@@ -41,7 +41,7 @@ pub struct MakeCtx {
     pub universe: usize,
     /// Stream length hint `m`.
     pub stream_len: usize,
-    /// Tracker backend kind the instance's own tracker is created with.
+    /// Tracker kind the instance's own tracker is created with.
     pub tracker: TrackerKind,
     /// Batch-kernel lane width override for the sketches that have lane-packed
     /// kernels (CountMin/CountSketch/AMS).  `None` keeps each kernel's default
@@ -60,7 +60,7 @@ impl MakeCtx {
         }
     }
 
-    /// Same hints, different tracker backend.
+    /// Same hints, different tracker kind.
     pub fn with_tracker(mut self, tracker: TrackerKind) -> Self {
         self.tracker = tracker;
         self

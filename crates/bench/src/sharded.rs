@@ -7,7 +7,7 @@
 //!
 //! Everything here is plain `std::thread::scope` — no external dependencies.  Shards
 //! work because every algorithm built on the tracked substrate is `Send` (the tracker
-//! backends are internally synchronised), and each shard owns its *own* tracker, so the
+//! is internally synchronised), and each shard owns its *own* tracker, so the
 //! sequential per-tracker epoch discipline is preserved.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -159,7 +159,7 @@ where
 mod tests {
     use super::*;
     use fsc_baselines::{CountMin, MisraGries};
-    use fsc_state::{FrequencyEstimator, StateTracker};
+    use fsc_state::FrequencyEstimator;
     use fsc_streamgen::zipf::zipf_stream;
 
     #[test]
@@ -179,9 +179,7 @@ mod tests {
         let stream = zipf_stream(1 << 10, 10_000, 1.1, 3);
         let mut serial = CountMin::new(128, 4, 7);
         serial.process_stream(&stream);
-        let outcome = run_sharded(&stream, 4, |_| {
-            CountMin::with_tracker(&StateTracker::lean(), 128, 4, 7)
-        });
+        let outcome = run_sharded(&stream, 4, |_| CountMin::new(128, 4, 7));
         for item in 0..64u64 {
             assert_eq!(outcome.merged.estimate(item), serial.estimate(item));
         }

@@ -55,7 +55,7 @@ pub struct EngineConfig {
     pub shards: usize,
     /// Routing policy for ingested items.
     pub routing: Routing,
-    /// Tracker backend kind each shard's summary is constructed with.
+    /// Tracker kind each shard's summary is constructed with.
     pub tracker: TrackerKind,
     /// Worker budget for the threaded ingest drain: `None` (the default) sizes it
     /// from [`detected_cores`], so a 1-CPU host never pays thread-spawn overhead

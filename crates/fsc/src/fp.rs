@@ -64,7 +64,7 @@ pub struct FpEstimator {
 }
 
 impl FpEstimator {
-    /// Creates an estimator with its own tracker (of the backend kind selected by
+    /// Creates an estimator with its own tracker (of the kind selected by
     /// [`Params::tracker`]).
     pub fn new(params: Params) -> Self {
         let tracker = params.make_tracker();

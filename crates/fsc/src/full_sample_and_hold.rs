@@ -81,8 +81,8 @@ impl FullSampleAndHold {
         }
     }
 
-    /// Creates a standalone instance with its own tracker (of the backend kind selected
-    /// by [`Params::tracker`]).
+    /// Creates a standalone instance with its own tracker (of the kind selected by
+    /// [`Params::tracker`]).
     pub fn standalone(params: &Params) -> Self {
         let tracker = params.make_tracker();
         let seed = params.seed;

@@ -38,6 +38,6 @@ pub use heavy_hitters::FewStateHeavyHitters;
 pub use params::{Params, Profile};
 pub use sample_and_hold::SampleAndHold;
 
-// Re-exported so callers can select a tracker backend through `Params` without naming
+// Re-exported so callers can select a tracker kind through `Params` without naming
 // the `fsc_state` crate explicitly.
 pub use fsc_state::TrackerKind;

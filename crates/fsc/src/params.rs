@@ -42,10 +42,9 @@ pub struct Params {
     pub profile: Profile,
     /// Seed for all internal randomness.
     pub seed: u64,
-    /// Which state-tracking backend the algorithm's tracker uses (default:
-    /// [`TrackerKind::Full`], the exact accounting used by all recorded experiments;
-    /// [`TrackerKind::Lean`] for answers-only runs that need `Send`able algorithms
-    /// and a near-zero-cost update path).
+    /// Which kind of tracker the algorithm uses (default: [`TrackerKind::Full`], the
+    /// exact accounting used by all recorded experiments;
+    /// [`TrackerKind::FullAddressTracked`] adds per-address wear for analysis runs).
     pub tracker: TrackerKind,
 }
 
@@ -91,21 +90,15 @@ impl Params {
         self
     }
 
-    /// Returns a copy with a different tracker backend kind.
+    /// Returns a copy with a different tracker kind.
     pub fn with_tracker(mut self, tracker: TrackerKind) -> Self {
         self.tracker = tracker;
         self
     }
 
-    /// Returns a copy using the lean (atomic, `Send + Sync`, answers-only) tracker
-    /// backend — see [`fsc_state::LeanTracker`] for what it does and does not count.
-    pub fn lean(self) -> Self {
-        self.with_tracker(TrackerKind::Lean)
-    }
-
     /// Creates the state tracker this parameter set asks for.  Every algorithm
-    /// constructor that owns its tracker goes through this, so backend selection is a
-    /// pure `Params` concern and algorithm update paths stay backend-agnostic.
+    /// constructor that owns its tracker goes through this, so the tracker kind is a
+    /// pure `Params` concern and algorithm update paths stay kind-agnostic.
     pub fn make_tracker(&self) -> StateTracker {
         StateTracker::of_kind(self.tracker)
     }
@@ -399,7 +392,6 @@ mod tests {
     #[test]
     fn tracker_kind_selection_flows_into_make_tracker() {
         assert_eq!(base().make_tracker().kind(), TrackerKind::Full);
-        assert_eq!(base().lean().make_tracker().kind(), TrackerKind::Lean);
         assert_eq!(
             base()
                 .with_tracker(TrackerKind::FullAddressTracked)

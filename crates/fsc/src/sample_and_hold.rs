@@ -200,8 +200,8 @@ impl SampleAndHold {
         }
     }
 
-    /// Creates a standalone instance with its own tracker (of the backend kind selected
-    /// by [`Params::tracker`]), sized from [`Params::stream_len_hint`].
+    /// Creates a standalone instance with its own tracker (of the kind selected by
+    /// [`Params::tracker`]), sized from [`Params::stream_len_hint`].
     pub fn standalone(params: &Params) -> Self {
         let tracker = params.make_tracker();
         let hint = params.stream_len_hint;

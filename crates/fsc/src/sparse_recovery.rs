@@ -35,8 +35,8 @@ impl FewStateSparseRecovery {
         Self::with_tracker(sparsity, &StateTracker::new())
     }
 
-    /// Creates a recovery structure attached to a caller-supplied tracker (e.g. a lean
-    /// one from [`StateTracker::lean`]).
+    /// Creates a recovery structure attached to a caller-supplied tracker (e.g. an
+    /// address-tracked one for wear analysis).
     pub fn with_tracker(sparsity: usize, tracker: &StateTracker) -> Self {
         assert!(sparsity >= 1);
         Self {

@@ -1,16 +1,4 @@
-//! Pluggable tracker backends: exact accounting vs. near-zero-overhead counting.
-//!
-//! A [`crate::StateTracker`] handle dispatches every accounting event to a
-//! [`TrackerBackend`].  Two implementations exist:
-//!
-//! * [`FullTracker`] — the exact accounting the repository has always used: per-epoch
-//!   state changes, word writes, redundant writes, reads, current/peak space, and
-//!   optional per-address wear counts.  Counter semantics are identical to the original
-//!   single-threaded tracker, so all recorded experiment tables reproduce bit-for-bit.
-//! * [`LeanTracker`] — atomic epoch/state-change counters plus space accounting only.
-//!   It does **not** count word writes, redundant writes, reads, or per-cell wear
-//!   (those fields of its [`StateReport`] are zero/`None`).  Use it when only answers
-//!   and the state-change count are needed — e.g. sharded or throughput-critical runs.
+//! The tracker kinds and the epoch clock behind [`crate::StateTracker`]'s accounting.
 //!
 //! # Hot-path cost model
 //!
@@ -25,29 +13,23 @@
 //! Allocation (cold path) keeps its RMW operations so concurrent `alloc` from clones
 //! stays address-disjoint.
 //!
-//! Epochs follow the same philosophy in batched form: [`TrackerBackend::begin_epochs`]
-//! reserves a span of epoch ids up front and [`TrackerBackend::enter_epoch`] activates
-//! each id with a single relaxed store, so `process_batch` performs O(1) atomic RMWs
-//! per batch (in these backends: zero) instead of one-plus per item.
+//! Epochs follow the same philosophy in batched form:
+//! [`crate::StateTracker::begin_epochs`] reserves a span of epoch ids up front and
+//! [`crate::StateTracker::enter_epoch`] activates each id with a single relaxed store,
+//! so `process_batch` performs no atomic RMW per item.
 
-use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::report::StateReport;
-use crate::snapshot::TrackerState;
-use crate::tracker::AddrRange;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bumps a sequentially-driven counter with a relaxed load + store pair.
 ///
 /// Equivalent to `fetch_add` for the single-driver contract described in the module
 /// docs, but compiles to plain loads/stores on the hot path.
 #[inline(always)]
-fn bump(counter: &AtomicU64, n: u64) {
+pub(crate) fn bump(counter: &AtomicU64, n: u64) {
     counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
-/// Which backend a [`crate::StateTracker`] was constructed with.
+/// What a [`crate::StateTracker`] records beyond the exact aggregate counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrackerKind {
     /// Exact accounting (the default; reproduces all recorded experiments).
@@ -55,8 +37,6 @@ pub enum TrackerKind {
     Full,
     /// Exact accounting plus per-address wear counts (analysis runs only).
     FullAddressTracked,
-    /// Atomic epoch/state-change/space counters only; near-zero update cost.
-    Lean,
 }
 
 impl TrackerKind {
@@ -66,226 +46,28 @@ impl TrackerKind {
         match self {
             TrackerKind::Full => 0,
             TrackerKind::FullAddressTracked => 1,
-            TrackerKind::Lean => 2,
         }
     }
 
-    /// Inverse of [`TrackerKind::tag`] (`None` for unknown tags — corrupt input).
+    /// Inverse of [`TrackerKind::tag`] (`None` for unknown tags — corrupt input,
+    /// including the retired tag 2).
     pub fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(TrackerKind::Full),
             1 => Some(TrackerKind::FullAddressTracked),
-            2 => Some(TrackerKind::Lean),
             _ => None,
         }
     }
 }
 
-/// The accounting interface a tracker handle dispatches to.
-///
-/// All methods take `&self`: backends are internally synchronised, which is what lets
-/// tracked algorithms be `Send + Sync` without any change to algorithm code.
-pub trait TrackerBackend: fmt::Debug + Send + Sync {
-    /// Starts a new epoch (stream update).  At most one state change is counted per
-    /// epoch regardless of how many words are modified within it.
-    fn begin_epoch(&self);
-    /// Reserves a span of `n` consecutive epochs and returns the id of the first.
-    ///
-    /// The caller must activate each epoch in turn with [`TrackerBackend::enter_epoch`]
-    /// (ids `first..first + n`), exactly one activation per stream update, before
-    /// reserving another span or calling [`TrackerBackend::begin_epoch`].  The epoch
-    /// count observed through [`TrackerBackend::epochs`] advances per *activation*, so
-    /// mid-batch readers (e.g. age-bucketed maintenance) see the same values as with
-    /// per-item [`TrackerBackend::begin_epoch`] calls.  The default implementation
-    /// supports backends that only implement `begin_epoch`.
-    fn begin_epochs(&self, n: u64) -> u64 {
-        let _ = n;
-        self.epochs() + 1
-    }
-    /// Makes reserved epoch `id` the current epoch (see
-    /// [`TrackerBackend::begin_epochs`]).  The default implementation falls back to
-    /// [`TrackerBackend::begin_epoch`] for backends without span support.
-    fn enter_epoch(&self, id: u64) {
-        let _ = id;
-        self.begin_epoch();
-    }
-    /// Allocates `words` words of tracked memory and charges the space accounts.
-    fn alloc(&self, words: usize) -> AddrRange;
-    /// Releases `words` words of tracked memory (peak usage is unaffected).
-    fn dealloc(&self, words: usize);
-    /// Records a write to one word; `changed` must be `true` iff the stored value
-    /// actually differs from the previous one.
-    fn record_write(&self, addr: Option<usize>, changed: bool);
-    /// Records `n` changed writes at the consecutive addresses `start..start + n`
-    /// (`None` for anonymous words), all within the current epoch — the bulk
-    /// equivalent of `n` calls to [`TrackerBackend::record_write`] with
-    /// `changed = true`.  Used by batch kernels whose per-item writes land on a
-    /// contiguous address run (e.g. an AMS sketch touching every counter).
-    ///
-    /// The default implementation is the per-word loop; backends may override it with
-    /// a counter-equivalent constant-time version.
-    fn record_changed_run(&self, start: Option<usize>, n: u64) {
-        for i in 0..n {
-            self.record_write(start.map(|s| s + i as usize), true);
-        }
-    }
-    /// Records one changed write at each of `addrs`, all within the current epoch —
-    /// the bulk equivalent of per-address [`TrackerBackend::record_write`] calls with
-    /// `changed = true`.  Used by batch kernels with scattered per-item writes (e.g.
-    /// one counter per CountMin row).
-    fn record_changed_at(&self, addrs: &[usize]) {
-        for &a in addrs {
-            self.record_write(Some(a), true);
-        }
-    }
-    /// Activates each reserved epoch `first + i` for `i in 0..addrs.len() / writes`
-    /// in turn and records, within it, one changed write at each address of
-    /// `addrs[i * writes..(i + 1) * writes]` — the bulk equivalent of the per-item
-    /// scatter-accounting loop
-    /// `for each item: enter_epoch(first + i); record_changed_at(item addrs)`
-    /// used by the lane-packed batch kernels (`writes` probes per item, every probe
-    /// a changed write, as in CountMin/CountSketch).  `addrs.len()` must be a
-    /// multiple of `writes`, and the caller must have reserved the span via
-    /// [`TrackerBackend::begin_epochs`] without entering any of its epochs.
-    ///
-    /// The default implementation is that per-item loop; backends may override it
-    /// with a counter-equivalent constant-time version (the full tracker does when
-    /// it is not recording per-address wear).
-    fn record_scatter_epochs(&self, first: u64, writes: usize, addrs: &[usize]) {
-        if writes == 0 {
-            return;
-        }
-        debug_assert_eq!(addrs.len() % writes, 0);
-        for (i, chunk) in addrs.chunks_exact(writes).enumerate() {
-            self.enter_epoch(first + i as u64);
-            self.record_changed_at(chunk);
-        }
-    }
-    /// Activates each reserved epoch `first..first + n` in turn and records, within
-    /// each, `writes` changed word writes — at the addresses `addrs` when provided
-    /// (then `writes` must equal `addrs.len()`), anonymously otherwise.  This is the
-    /// bulk equivalent of the per-item loop
-    /// `for id in first..first + n { enter_epoch(id); for each write: record_write(_, true) }`
-    /// and is what lets a run-length kernel process a run of identical updates with
-    /// O(1) accounting calls.  The caller must have reserved the span via
-    /// [`TrackerBackend::begin_epochs`] and must not have entered any of its epochs.
-    fn record_run_epochs(&self, first: u64, n: u64, writes: u64, addrs: Option<&[usize]>) {
-        debug_assert!(addrs.is_none_or(|a| a.len() as u64 == writes));
-        for id in first..first + n {
-            self.enter_epoch(id);
-            match addrs {
-                Some(addrs) => {
-                    for &a in addrs {
-                        self.record_write(Some(a), true);
-                    }
-                }
-                None => {
-                    for _ in 0..writes {
-                        self.record_write(None, true);
-                    }
-                }
-            }
-        }
-    }
-    /// Records `n` word reads (a no-op on backends that do not count reads).
-    fn record_reads(&self, n: u64);
-    /// Number of state changes so far (paper definition).
-    fn state_changes(&self) -> u64;
-    /// A monotone **staleness clock**: a counter that never decreases over the
-    /// lifetime of this backend instance and is guaranteed to have advanced, by the
-    /// next epoch boundary, after any mutation that could change an observable
-    /// answer — a changed word write, or an [`TrackerBackend::import_state`] (which
-    /// replaces the whole state and therefore *taints* the generation by at least
-    /// one, mirroring the dirty-journal taint on restore).
-    ///
-    /// **Conservative contract.**  The generation may advance *at most once per
-    /// epoch* (it is allowed to coalesce all changed writes of one epoch into a
-    /// single tick, as [`LeanTracker`] does), so two generation reads are comparable
-    /// only when both were taken at epoch boundaries — between stream updates, never
-    /// mid-update.  Under that discipline, `generation unchanged` implies `no state
-    /// change happened in between`, which is what lets a cached serving view skip
-    /// its rebuild.  The converse direction is deliberately weak: the generation may
-    /// advance without an observable answer changing (e.g. an import that restored
-    /// identical state still ticks), which costs a spurious rebuild, never a stale
-    /// answer.
-    ///
-    /// The default implementation returns [`TrackerBackend::state_changes`], which
-    /// satisfies the contract for backends that never import state; backends that
-    /// support `import_state` must override it (an import can rewind the
-    /// state-change counter, which would move this clock backwards).
-    fn state_change_generation(&self) -> u64 {
-        self.state_changes()
-    }
-    /// Number of epochs (stream updates) started so far.
-    fn epochs(&self) -> u64;
-    /// Current number of allocated words.
-    fn words_current(&self) -> usize;
-    /// Peak number of allocated words.
-    fn words_peak(&self) -> usize;
-    /// Immutable snapshot of every counter the backend maintains.
-    fn snapshot(&self) -> StateReport;
-    /// Per-address write counts, if the backend records them.
-    fn address_writes(&self) -> Option<Vec<u64>>;
-    /// The backend's kind tag.
-    fn kind(&self) -> TrackerKind;
-    /// Exports the complete counter state for checkpointing (see
-    /// [`TrackerState`]): every aggregate counter, the epoch clock including the
-    /// last-state-change epoch, the address-allocation cursor, and the wear table
-    /// when present.  [`TrackerBackend::import_state`] on a freshly constructed
-    /// backend of the same kind must make it observably identical.
-    fn export_state(&self) -> TrackerState;
-    /// Overwrites the backend's counters with a previously exported state — the
-    /// restore half of checkpointing.  Called on a backend of the same kind as the
-    /// exporting one, after the restoring algorithm has rebuilt its containers (any
-    /// accounting those rebuilds charged is deliberately clobbered here).
-    fn import_state(&self, state: &TrackerState);
-    /// The addresses whose stored value changed in any epoch **after** `epoch`, if
-    /// the backend can enumerate them *soundly* — the dirty-address journal behind
-    /// delta checkpointing (see [`crate::delta`]).
-    ///
-    /// `None` is the **conservative fallback** meaning "assume everything is dirty":
-    /// returned by backends without per-address accounting ([`LeanTracker`], plain
-    /// [`FullTracker`]), and by the address-tracked backend whenever an *anonymous*
-    /// write (`record_write(None, true)` — e.g. any [`crate::TrackedMap`] mutation)
-    /// happened after `epoch`, since such writes cannot be attributed to an address.
-    /// `Some(addrs)` is a completeness guarantee: every tracked word not listed holds
-    /// the same value it held at the end of epoch `epoch`.  A restored backend
-    /// ([`TrackerBackend::import_state`]) also answers `None` for any `epoch` before
-    /// its import point — the journal does not survive a checkpoint round trip.
-    fn dirty_since(&self, epoch: u64) -> Option<Vec<usize>> {
-        let _ = epoch;
-        None
-    }
-    /// Drains the journal: the addresses dirtied since the previous drain (or since
-    /// construction), advancing the drain mark to the current epoch.  Same `None`
-    /// semantics as [`TrackerBackend::dirty_since`]; a `None` drain also advances the
-    /// mark, since the caller's response to `None` (persist everything) covers all
-    /// history up to the current epoch.
-    ///
-    /// **Must be called at an epoch boundary** — between updates, i.e. not between a
-    /// `begin_epoch` and the writes of that epoch.  The drain claims all history up
-    /// to and including the current epoch, so a write stamped with the current epoch
-    /// that lands *after* a mid-epoch drain is treated as already reported and never
-    /// appears in a later drain.  All in-tree callers (checkpoint paths) drain only
-    /// after an update completes, where this cannot happen.
-    fn drain_dirty(&self) -> Option<Vec<usize>> {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared epoch machinery.
-// ---------------------------------------------------------------------------
-
-/// The epoch state shared by both backends: the id of the current epoch (0 = no epoch
-/// opened yet, i.e. data-structure initialisation) and the id of the last epoch that
-/// was counted as a state change.
+/// The id of the current epoch (0 = no epoch opened yet, i.e. data-structure
+/// initialisation) and the id of the last epoch that was counted as a state change.
 ///
 /// Writes performed before the first epoch are counted as word writes but not as state
 /// changes, matching the paper's convention that state changes are counted per stream
 /// update.
 #[derive(Debug, Default)]
-struct EpochState {
+pub(crate) struct EpochState {
     /// Id of the currently active epoch; equals the number of epochs entered so far.
     current: AtomicU64,
     /// Id of the last epoch already counted as a state change (0 = none).
@@ -294,22 +76,22 @@ struct EpochState {
 
 impl EpochState {
     #[inline(always)]
-    fn begin(&self) {
+    pub(crate) fn begin(&self) {
         self.enter(self.current.load(Ordering::Relaxed) + 1);
     }
 
     #[inline(always)]
-    fn reserve(&self, _n: u64) -> u64 {
+    pub(crate) fn reserve(&self) -> u64 {
         self.current.load(Ordering::Relaxed) + 1
     }
 
     #[inline(always)]
-    fn enter(&self, id: u64) {
+    pub(crate) fn enter(&self, id: u64) {
         self.current.store(id, Ordering::Relaxed);
     }
 
     #[inline(always)]
-    fn epochs(&self) -> u64 {
+    pub(crate) fn epochs(&self) -> u64 {
         self.current.load(Ordering::Relaxed)
     }
 
@@ -317,7 +99,7 @@ impl EpochState {
     /// i.e. the write that makes the epoch a state change.  Pre-epoch writes (id 0)
     /// never count.
     #[inline(always)]
-    fn claims_state_change(&self) -> bool {
+    pub(crate) fn claims_state_change(&self) -> bool {
         let e = self.current.load(Ordering::Relaxed);
         if e != 0 && self.last_change.load(Ordering::Relaxed) != e {
             self.last_change.store(e, Ordering::Relaxed);
@@ -330,13 +112,13 @@ impl EpochState {
     /// Id of the last epoch counted as a state change (0 = none) — exported by
     /// checkpoints so a restored tracker's next claim decision is identical.
     #[inline(always)]
-    fn last_change(&self) -> u64 {
+    pub(crate) fn last_change(&self) -> u64 {
         self.last_change.load(Ordering::Relaxed)
     }
 
     /// Overwrites the clock with checkpointed values (restore path).
     #[inline(always)]
-    fn restore(&self, current: u64, last_change: u64) {
+    pub(crate) fn restore(&self, current: u64, last_change: u64) {
         self.current.store(current, Ordering::Relaxed);
         self.last_change.store(last_change, Ordering::Relaxed);
     }
@@ -345,7 +127,7 @@ impl EpochState {
     /// as claimed, leaving `current`/`last_change` exactly where the per-item loop
     /// (enter, claim, enter, claim, …) would leave them.
     #[inline(always)]
-    fn enter_claimed_run(&self, first: u64, n: u64) {
+    pub(crate) fn enter_claimed_run(&self, first: u64, n: u64) {
         debug_assert!(first >= 1 && n >= 1);
         let last = first + n - 1;
         self.current.store(last, Ordering::Relaxed);
@@ -353,668 +135,50 @@ impl EpochState {
     }
 }
 
-// ---------------------------------------------------------------------------
-// FullTracker — exact accounting (the original tracker semantics).
-// ---------------------------------------------------------------------------
-
-/// Exact accounting backend: every counter of the original tracker, held in relaxed
-/// atomics so the handle is `Send + Sync` without paying for a lock on the update path.
-///
-/// State-change semantics, initial-write conventions, address assignment, and every
-/// counter are unchanged from the pre-backend tracker, so experiment tables recorded
-/// against it reproduce exactly.  Only the optional per-address wear table sits behind
-/// a mutex, and it is touched only when address tracking was requested at construction.
-#[derive(Debug, Default)]
-pub struct FullTracker {
-    /// Paper-definition state changes: number of epochs in which ≥ 1 word changed.
-    state_changes: AtomicU64,
-    /// Number of individual word writes that changed the stored value.
-    word_writes: AtomicU64,
-    /// Number of word writes whose new value equalled the old value.
-    redundant_writes: AtomicU64,
-    /// Number of word reads.
-    reads: AtomicU64,
-    /// Current/last-state-change epoch ids (one epoch per stream update).
-    epoch: EpochState,
-    /// Currently allocated words.
-    words_current: AtomicUsize,
-    /// Peak allocated words over the lifetime of the tracker.
-    words_peak: AtomicUsize,
-    /// Next free address for `alloc`.
-    next_addr: AtomicUsize,
-    /// Per-address wear counts and dirty-journal stamps; populated only when
-    /// `address_tracked` is set.
-    addr_writes: Mutex<WearJournal>,
-    /// Epoch of the last *anonymous* changed write (`record_write(None, true)`), the
-    /// taint that forces [`TrackerBackend::dirty_since`] to its conservative `None`
-    /// answer; 0 = none.  Maintained only when `address_tracked` is set.
-    last_anon_change: AtomicU64,
-    /// Epoch up to which [`TrackerBackend::drain_dirty`] has already reported.
-    drain_mark: AtomicU64,
-    /// Monotone staleness clock (see [`TrackerBackend::state_change_generation`]):
-    /// ticks per changed write (the exact counter already paid for by
-    /// `word_writes`) plus one taint tick per [`TrackerBackend::import_state`].
-    /// Deliberately **not** serialized in [`TrackerState`] — it is an ephemeral
-    /// per-instance clock, like the dirty journal, so the checkpoint format is
-    /// unchanged.
-    generation: AtomicU64,
-    /// Whether per-address wear accounting is enabled (fixed at construction).
-    address_tracked: bool,
-}
-
-/// The per-address tables behind [`FullTracker`]'s wear lock: lifetime write counts
-/// (wear analysis) and the epoch of each address's last changed write (the dirty
-/// journal).  Both grow together and are updated under the one existing lock, so the
-/// journal costs no extra synchronisation on the tracked hot path.
-#[derive(Debug, Default)]
-struct WearJournal {
-    /// Lifetime changed-write count per address.
-    wear: Vec<u64>,
-    /// Epoch id of the last changed write per address (0 = only pre-epoch writes).
-    last_write_epoch: Vec<u64>,
-}
-
-impl WearJournal {
-    /// Grow-only resize keeping both tables the same length.
-    fn grow_to(&mut self, len: usize) {
-        if len > self.wear.len() {
-            self.wear.resize(len, 0);
-            self.last_write_epoch.resize(len, 0);
-        }
-    }
-}
-
-impl FullTracker {
-    /// Creates a backend with aggregate counters only.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a backend that additionally records per-address write counts, enabling
-    /// wear analysis through [`crate::nvm::NvmReport`].  Address tracking costs one
-    /// `u64` per tracked word plus a lock per write, so it is intended for
-    /// moderate-size analysis runs.
-    pub fn with_address_tracking() -> Self {
-        Self {
-            address_tracked: true,
-            ..Self::default()
-        }
-    }
-
-    fn wear_table(&self) -> std::sync::MutexGuard<'_, WearJournal> {
-        match self.addr_writes.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Stamps the anonymous-write taint with the current epoch (see
-    /// [`FullTracker::last_anon_change`]); epoch 0 (pre-epoch initialisation) is
-    /// stamped as 1 so a base captured before the write still sees the taint.
-    #[inline]
-    fn taint_anonymous(&self) {
-        let e = self.epoch.epochs().max(1);
-        self.last_anon_change.fetch_max(e, Ordering::Relaxed);
-    }
-}
-
-impl TrackerBackend for FullTracker {
-    #[inline]
-    fn begin_epoch(&self) {
-        self.epoch.begin();
-    }
-
-    #[inline]
-    fn begin_epochs(&self, n: u64) -> u64 {
-        self.epoch.reserve(n)
-    }
-
-    #[inline]
-    fn enter_epoch(&self, id: u64) {
-        self.epoch.enter(id);
-    }
-
-    fn alloc(&self, words: usize) -> AddrRange {
-        let start = self.next_addr.fetch_add(words, Ordering::Relaxed);
-        let current = self.words_current.fetch_add(words, Ordering::Relaxed) + words;
-        self.words_peak.fetch_max(current, Ordering::Relaxed);
-        if self.address_tracked {
-            // Grow-only: a concurrent alloc may already have extended the table past
-            // this range's end, and resizing down would truncate its wear counts.
-            self.wear_table().grow_to(start + words);
-        }
-        AddrRange { start, len: words }
-    }
-
-    fn dealloc(&self, words: usize) {
-        let _ = self
-            .words_current
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(words))
-            });
-    }
-
-    #[inline]
-    fn record_write(&self, addr: Option<usize>, changed: bool) {
-        if changed {
-            bump(&self.word_writes, 1);
-            bump(&self.generation, 1);
-            if self.epoch.claims_state_change() {
-                bump(&self.state_changes, 1);
-            }
-            if self.address_tracked {
-                match addr {
-                    Some(a) => {
-                        let mut journal = self.wear_table();
-                        journal.grow_to(a + 1);
-                        journal.wear[a] += 1;
-                        journal.last_write_epoch[a] = self.epoch.epochs();
-                    }
-                    None => self.taint_anonymous(),
-                }
-            }
-        } else {
-            bump(&self.redundant_writes, 1);
-        }
-    }
-
-    #[inline]
-    fn record_changed_run(&self, start: Option<usize>, n: u64) {
-        if n == 0 {
-            return;
-        }
-        bump(&self.word_writes, n);
-        bump(&self.generation, n);
-        if self.epoch.claims_state_change() {
-            bump(&self.state_changes, 1);
-        }
-        if self.address_tracked {
-            match start {
-                Some(start) => {
-                    let end = start + n as usize;
-                    let mut journal = self.wear_table();
-                    journal.grow_to(end);
-                    let epoch = self.epoch.epochs();
-                    for w in &mut journal.wear[start..end] {
-                        *w += 1;
-                    }
-                    for e in &mut journal.last_write_epoch[start..end] {
-                        *e = epoch;
-                    }
-                }
-                None => self.taint_anonymous(),
-            }
-        }
-    }
-
-    #[inline]
-    fn record_changed_at(&self, addrs: &[usize]) {
-        if addrs.is_empty() {
-            return;
-        }
-        bump(&self.word_writes, addrs.len() as u64);
-        bump(&self.generation, addrs.len() as u64);
-        if self.epoch.claims_state_change() {
-            bump(&self.state_changes, 1);
-        }
-        if self.address_tracked {
-            let mut journal = self.wear_table();
-            let epoch = self.epoch.epochs();
-            for &a in addrs {
-                journal.grow_to(a + 1);
-                journal.wear[a] += 1;
-                journal.last_write_epoch[a] = epoch;
-            }
-        }
-    }
-
-    /// Constant time when wear is not tracked: every scatter epoch carries
-    /// `writes ≥ 1` changed writes, so each claims exactly one state change and the
-    /// clock ends on the last epoch with `last_change == current` — exactly where
-    /// the per-item loop leaves it.  With wear tracking on, falls back to the
-    /// per-item loop so each address's `last_write_epoch` is stamped with its own
-    /// item's epoch, not the block's last.
-    #[inline]
-    fn record_scatter_epochs(&self, first: u64, writes: usize, addrs: &[usize]) {
-        if writes == 0 || addrs.is_empty() {
-            return;
-        }
-        debug_assert_eq!(addrs.len() % writes, 0);
-        let n = (addrs.len() / writes) as u64;
-        if self.address_tracked {
-            for (i, chunk) in addrs.chunks_exact(writes).enumerate() {
-                self.epoch.enter(first + i as u64);
-                self.record_changed_at(chunk);
-            }
-            return;
-        }
-        self.epoch.enter_claimed_run(first, n);
-        bump(&self.state_changes, n);
-        bump(&self.word_writes, addrs.len() as u64);
-        bump(&self.generation, addrs.len() as u64);
-    }
-
-    #[inline]
-    fn record_run_epochs(&self, first: u64, n: u64, writes: u64, addrs: Option<&[usize]>) {
-        debug_assert!(addrs.is_none_or(|a| a.len() as u64 == writes));
-        if n == 0 {
-            return;
-        }
-        if writes == 0 {
-            // Entering epochs without writes changes no counter except the clock.
-            self.epoch.enter(first + n - 1);
-            return;
-        }
-        self.epoch.enter_claimed_run(first, n);
-        bump(&self.state_changes, n);
-        bump(&self.word_writes, n * writes);
-        bump(&self.generation, n * writes);
-        if self.address_tracked {
-            match addrs {
-                Some(addrs) => {
-                    let mut journal = self.wear_table();
-                    let epoch = self.epoch.epochs();
-                    for &a in addrs {
-                        journal.grow_to(a + 1);
-                        journal.wear[a] += n;
-                        journal.last_write_epoch[a] = epoch;
-                    }
-                }
-                None => self.taint_anonymous(),
-            }
-        }
-    }
-
-    #[inline]
-    fn record_reads(&self, n: u64) {
-        bump(&self.reads, n);
-    }
-
-    fn state_changes(&self) -> u64 {
-        self.state_changes.load(Ordering::Relaxed)
-    }
-
-    /// Exact per-changed-write clock: ticks with `word_writes` (never with
-    /// redundant writes or reads) plus one taint tick per import — strictly finer
-    /// than the once-per-epoch minimum the contract requires.
-    fn state_change_generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
-    fn epochs(&self) -> u64 {
-        self.epoch.epochs()
-    }
-
-    fn words_current(&self) -> usize {
-        self.words_current.load(Ordering::Relaxed)
-    }
-
-    fn words_peak(&self) -> usize {
-        self.words_peak.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> StateReport {
-        let (max_cell_writes, tracked_cells, total_addr_writes) = if self.address_tracked {
-            let journal = self.wear_table();
-            (
-                journal.wear.iter().copied().max(),
-                Some(journal.wear.len()),
-                Some(journal.wear.iter().sum()),
-            )
-        } else {
-            (None, None, None)
-        };
-        StateReport {
-            state_changes: self.state_changes(),
-            word_writes: self.word_writes.load(Ordering::Relaxed),
-            redundant_writes: self.redundant_writes.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            epochs: self.epochs(),
-            words_current: self.words_current(),
-            words_peak: self.words_peak(),
-            max_cell_writes,
-            tracked_cells,
-            total_addr_writes,
-        }
-    }
-
-    fn address_writes(&self) -> Option<Vec<u64>> {
-        if self.address_tracked {
-            Some(self.wear_table().wear.clone())
-        } else {
-            None
-        }
-    }
-
-    fn kind(&self) -> TrackerKind {
-        if self.address_tracked {
-            TrackerKind::FullAddressTracked
-        } else {
-            TrackerKind::Full
-        }
-    }
-
-    fn export_state(&self) -> TrackerState {
-        TrackerState {
-            kind: self.kind(),
-            epochs: self.epoch.epochs(),
-            last_change_epoch: self.epoch.last_change(),
-            state_changes: self.state_changes(),
-            word_writes: self.word_writes.load(Ordering::Relaxed),
-            redundant_writes: self.redundant_writes.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            words_current: self.words_current(),
-            words_peak: self.words_peak(),
-            next_addr: self.next_addr.load(Ordering::Relaxed),
-            wear: self.address_writes(),
-        }
-    }
-
-    fn import_state(&self, state: &TrackerState) {
-        debug_assert_eq!(state.kind, self.kind(), "import into a same-kind tracker");
-        self.epoch.restore(state.epochs, state.last_change_epoch);
-        self.state_changes
-            .store(state.state_changes, Ordering::Relaxed);
-        self.word_writes.store(state.word_writes, Ordering::Relaxed);
-        self.redundant_writes
-            .store(state.redundant_writes, Ordering::Relaxed);
-        self.reads.store(state.reads, Ordering::Relaxed);
-        self.words_current
-            .store(state.words_current, Ordering::Relaxed);
-        self.words_peak.store(state.words_peak, Ordering::Relaxed);
-        self.next_addr.store(state.next_addr, Ordering::Relaxed);
-        if self.address_tracked {
-            let wear = state.wear.clone().unwrap_or_default();
-            let mut journal = self.wear_table();
-            // The dirty journal is not serialized ([`TrackerState`] is format-stable),
-            // so a restored tracker re-stamps every address with the import epoch and
-            // taints anonymity: `dirty_since` answers conservatively for any epoch
-            // before the import point instead of under-reporting.
-            journal.last_write_epoch = vec![state.epochs; wear.len()];
-            journal.wear = wear;
-            self.last_anon_change.store(state.epochs, Ordering::Relaxed);
-        }
-        self.drain_mark.store(0, Ordering::Relaxed);
-        // Restore taints the staleness clock: the counters above may rewind, but the
-        // generation only ever moves forward — an import is a state mutation, so any
-        // generation captured before it must now compare stale.
-        bump(&self.generation, 1);
-    }
-
-    fn dirty_since(&self, epoch: u64) -> Option<Vec<usize>> {
-        if !self.address_tracked || self.last_anon_change.load(Ordering::Relaxed) > epoch {
-            return None;
-        }
-        let journal = self.wear_table();
-        Some(
-            journal
-                .last_write_epoch
-                .iter()
-                .enumerate()
-                .filter(|&(_, &e)| e > epoch)
-                .map(|(a, _)| a)
-                .collect(),
-        )
-    }
-
-    fn drain_dirty(&self) -> Option<Vec<usize>> {
-        let mark = self.drain_mark.swap(self.epoch.epochs(), Ordering::Relaxed);
-        self.dirty_since(mark)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LeanTracker — atomic epoch/state-change/space counters only.
-// ---------------------------------------------------------------------------
-
-/// Near-zero-overhead backend: relaxed atomic counters for epochs, state changes, and
-/// space; everything else is uncounted.
-///
-/// What it counts identically to [`FullTracker`]: `epochs`, `state_changes` (the paper's
-/// headline measure — at most one per epoch, only for writes that actually change a
-/// value, never for pre-epoch initialisation writes), `words_current`, and `words_peak`.
-/// What it does not count: `word_writes`, `redundant_writes`, `reads`, and per-address
-/// wear — those report as zero/`None`.
-#[derive(Debug, Default)]
-pub struct LeanTracker {
-    epoch: EpochState,
-    state_changes: AtomicU64,
-    /// Monotone staleness clock (see [`TrackerBackend::state_change_generation`]):
-    /// ticks with the state-change counter — at most once per epoch, the coarsest
-    /// granularity the conservative contract allows — plus one taint tick per
-    /// [`TrackerBackend::import_state`].  Not serialized.
-    generation: AtomicU64,
-    next_addr: AtomicUsize,
-    words_current: AtomicUsize,
-    words_peak: AtomicUsize,
-}
-
-impl LeanTracker {
-    /// Creates a lean backend with all counters at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TrackerBackend for LeanTracker {
-    #[inline]
-    fn begin_epoch(&self) {
-        self.epoch.begin();
-    }
-
-    #[inline]
-    fn begin_epochs(&self, n: u64) -> u64 {
-        self.epoch.reserve(n)
-    }
-
-    #[inline]
-    fn enter_epoch(&self, id: u64) {
-        self.epoch.enter(id);
-    }
-
-    fn alloc(&self, words: usize) -> AddrRange {
-        let start = self.next_addr.fetch_add(words, Ordering::Relaxed);
-        let current = self.words_current.fetch_add(words, Ordering::Relaxed) + words;
-        self.words_peak.fetch_max(current, Ordering::Relaxed);
-        AddrRange { start, len: words }
-    }
-
-    fn dealloc(&self, words: usize) {
-        let _ = self
-            .words_current
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(words))
-            });
-    }
-
-    #[inline]
-    fn record_write(&self, _addr: Option<usize>, changed: bool) {
-        if changed && self.epoch.claims_state_change() {
-            bump(&self.state_changes, 1);
-            bump(&self.generation, 1);
-        }
-    }
-
-    #[inline]
-    fn record_changed_run(&self, _start: Option<usize>, n: u64) {
-        if n > 0 && self.epoch.claims_state_change() {
-            bump(&self.state_changes, 1);
-            bump(&self.generation, 1);
-        }
-    }
-
-    #[inline]
-    fn record_changed_at(&self, addrs: &[usize]) {
-        if !addrs.is_empty() && self.epoch.claims_state_change() {
-            bump(&self.state_changes, 1);
-            bump(&self.generation, 1);
-        }
-    }
-
-    #[inline]
-    fn record_run_epochs(&self, first: u64, n: u64, writes: u64, addrs: Option<&[usize]>) {
-        debug_assert!(addrs.is_none_or(|a| a.len() as u64 == writes));
-        if n == 0 {
-            return;
-        }
-        if writes == 0 {
-            self.epoch.enter(first + n - 1);
-            return;
-        }
-        self.epoch.enter_claimed_run(first, n);
-        bump(&self.state_changes, n);
-        bump(&self.generation, n);
-    }
-
-    /// Constant time always (no wear table to attribute): each scatter epoch claims
-    /// one state change and one generation tick, and the clock ends claimed on the
-    /// last epoch — exactly where the per-item loop leaves it.
-    #[inline]
-    fn record_scatter_epochs(&self, first: u64, writes: usize, addrs: &[usize]) {
-        if writes == 0 || addrs.is_empty() {
-            return;
-        }
-        debug_assert_eq!(addrs.len() % writes, 0);
-        let n = (addrs.len() / writes) as u64;
-        self.epoch.enter_claimed_run(first, n);
-        bump(&self.state_changes, n);
-        bump(&self.generation, n);
-    }
-
-    #[inline]
-    fn record_reads(&self, _n: u64) {}
-
-    fn state_changes(&self) -> u64 {
-        self.state_changes.load(Ordering::Relaxed)
-    }
-
-    /// Coarse once-per-epoch clock: ticks with the state-change counter (at most
-    /// one tick per epoch, however many words that epoch changed) plus one taint
-    /// tick per import — exactly the minimum granularity the conservative
-    /// contract allows.
-    fn state_change_generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
-    fn epochs(&self) -> u64 {
-        self.epoch.epochs()
-    }
-
-    fn words_current(&self) -> usize {
-        self.words_current.load(Ordering::Relaxed)
-    }
-
-    fn words_peak(&self) -> usize {
-        self.words_peak.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> StateReport {
-        StateReport {
-            state_changes: self.state_changes(),
-            epochs: self.epochs(),
-            words_current: self.words_current(),
-            words_peak: self.words_peak(),
-            ..StateReport::default()
-        }
-    }
-
-    fn address_writes(&self) -> Option<Vec<u64>> {
-        None
-    }
-
-    fn kind(&self) -> TrackerKind {
-        TrackerKind::Lean
-    }
-
-    fn export_state(&self) -> TrackerState {
-        TrackerState {
-            kind: TrackerKind::Lean,
-            epochs: self.epoch.epochs(),
-            last_change_epoch: self.epoch.last_change(),
-            state_changes: self.state_changes(),
-            word_writes: 0,
-            redundant_writes: 0,
-            reads: 0,
-            words_current: self.words_current(),
-            words_peak: self.words_peak(),
-            next_addr: self.next_addr.load(Ordering::Relaxed),
-            wear: None,
-        }
-    }
-
-    fn import_state(&self, state: &TrackerState) {
-        debug_assert_eq!(state.kind, TrackerKind::Lean, "import into a lean tracker");
-        self.epoch.restore(state.epochs, state.last_change_epoch);
-        self.state_changes
-            .store(state.state_changes, Ordering::Relaxed);
-        self.words_current
-            .store(state.words_current, Ordering::Relaxed);
-        self.words_peak.store(state.words_peak, Ordering::Relaxed);
-        self.next_addr.store(state.next_addr, Ordering::Relaxed);
-        // Restore taints the staleness clock: the counters above may rewind, but
-        // the generation only ever moves forward — an import is a state mutation,
-        // so any generation captured before it must now compare stale.
-        bump(&self.generation, 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{StateReport, StateTracker, TrackerKind};
 
-    fn exercise(backend: &dyn TrackerBackend) -> StateReport {
-        let r = backend.alloc(4);
+    fn exercise(t: &StateTracker) -> StateReport {
+        let r = t.alloc(4);
         assert_eq!(r.len, 4);
-        backend.record_write(Some(r.word(0)), true); // init: before any epoch
+        t.record_write(Some(r.word(0)), true); // init: before any epoch
         for _ in 0..3 {
-            backend.begin_epoch();
-            backend.record_write(Some(r.word(0)), true);
-            backend.record_write(Some(r.word(1)), true);
+            t.begin_epoch();
+            t.record_write(Some(r.word(0)), true);
+            t.record_write(Some(r.word(1)), true);
         }
-        backend.begin_epoch();
-        backend.record_write(Some(r.word(2)), false);
-        backend.record_reads(7);
-        backend.dealloc(2);
-        backend.snapshot()
+        t.begin_epoch();
+        t.record_write(Some(r.word(2)), false);
+        t.record_reads(7);
+        t.dealloc(2);
+        t.snapshot()
     }
 
     /// Same stimulus as `exercise`, but through the batched epoch-span API.
-    fn exercise_batched(backend: &dyn TrackerBackend) -> StateReport {
-        let r = backend.alloc(4);
-        backend.record_write(Some(r.word(0)), true);
-        let first = backend.begin_epochs(4);
+    fn exercise_batched(t: &StateTracker) -> StateReport {
+        let r = t.alloc(4);
+        t.record_write(Some(r.word(0)), true);
+        let first = t.begin_epochs(4);
         for (i, changed) in [true, true, true, false].iter().enumerate() {
-            backend.enter_epoch(first + i as u64);
-            backend.record_write(Some(r.word(0)), *changed);
+            t.enter_epoch(first + i as u64);
+            t.record_write(Some(r.word(0)), *changed);
             if *changed {
-                backend.record_write(Some(r.word(1)), true);
+                t.record_write(Some(r.word(1)), true);
             }
         }
-        backend.record_reads(7);
-        backend.dealloc(2);
-        backend.snapshot()
-    }
-
-    #[test]
-    fn full_and_lean_agree_on_epochs_state_changes_and_space() {
-        let full = exercise(&FullTracker::new());
-        let lean = exercise(&LeanTracker::new());
-        assert_eq!(full.epochs, 4);
-        assert_eq!(full.state_changes, 3, "redundant-only epoch does not count");
-        assert_eq!(lean.epochs, full.epochs);
-        assert_eq!(lean.state_changes, full.state_changes);
-        assert_eq!(lean.words_current, full.words_current);
-        assert_eq!(lean.words_peak, full.words_peak);
+        t.record_reads(7);
+        t.dealloc(2);
+        t.snapshot()
     }
 
     #[test]
     fn batched_epoch_spans_match_per_item_epochs() {
-        let per_item = exercise(&FullTracker::new());
-        let batched = exercise_batched(&FullTracker::new());
-        assert_eq!(batched, per_item);
-        let lean_batched = exercise_batched(&LeanTracker::new());
-        assert_eq!(lean_batched.epochs, per_item.epochs);
-        assert_eq!(lean_batched.state_changes, per_item.state_changes);
+        for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
+            let per_item = exercise(&StateTracker::of_kind(kind));
+            let batched = exercise_batched(&StateTracker::of_kind(kind));
+            assert_eq!(batched, per_item, "{kind:?}");
+        }
     }
 
     #[test]
@@ -1022,7 +186,7 @@ mod tests {
         // Mid-batch observers (e.g. SampleAndHold's age-bucketed maintenance polls
         // `epochs()` as its clock) must see the per-item epoch, not the end of the
         // reserved span.
-        let t = FullTracker::new();
+        let t = StateTracker::new();
         let first = t.begin_epochs(100);
         assert_eq!(first, 1);
         assert_eq!(t.epochs(), 0, "reservation alone opens nothing");
@@ -1034,217 +198,99 @@ mod tests {
         assert_eq!(t.begin_epochs(5), 3);
     }
 
-    #[test]
-    fn default_span_impl_falls_back_to_begin_epoch() {
-        /// A minimal backend that only implements the mandatory methods.
-        #[derive(Debug, Default)]
-        struct Minimal {
-            epochs: AtomicU64,
-        }
-        impl TrackerBackend for Minimal {
-            fn begin_epoch(&self) {
-                self.epochs.fetch_add(1, Ordering::Relaxed);
-            }
-            fn alloc(&self, words: usize) -> AddrRange {
-                AddrRange {
-                    start: 0,
-                    len: words,
-                }
-            }
-            fn dealloc(&self, _words: usize) {}
-            fn record_write(&self, _addr: Option<usize>, _changed: bool) {}
-            fn record_reads(&self, _n: u64) {}
-            fn state_changes(&self) -> u64 {
-                0
-            }
-            fn epochs(&self) -> u64 {
-                self.epochs.load(Ordering::Relaxed)
-            }
-            fn words_current(&self) -> usize {
-                0
-            }
-            fn words_peak(&self) -> usize {
-                0
-            }
-            fn snapshot(&self) -> StateReport {
-                StateReport::default()
-            }
-            fn address_writes(&self) -> Option<Vec<u64>> {
-                None
-            }
-            fn kind(&self) -> TrackerKind {
-                TrackerKind::Full
-            }
-            fn export_state(&self) -> TrackerState {
-                TrackerState {
-                    kind: self.kind(),
-                    epochs: self.epochs(),
-                    last_change_epoch: 0,
-                    state_changes: 0,
-                    word_writes: 0,
-                    redundant_writes: 0,
-                    reads: 0,
-                    words_current: 0,
-                    words_peak: 0,
-                    next_addr: 0,
-                    wear: None,
-                }
-            }
-            fn import_state(&self, state: &TrackerState) {
-                self.epochs.store(state.epochs, Ordering::Relaxed);
-            }
-        }
-        let m = Minimal::default();
-        let first = m.begin_epochs(3);
-        assert_eq!(first, 1);
-        for id in first..first + 3 {
-            m.enter_epoch(id);
-        }
-        assert_eq!(m.epochs(), 3, "fallback advances per enter_epoch");
-    }
+    /// Scattered addresses of three items with two writes each, as the lane-packed
+    /// CountMin kernel hands them to `record_scatter_epochs`.
+    const SCATTER: [usize; 6] = [7, 0, 4, 7, 1, 6];
 
     /// Per-item stimulus whose bulk equivalents the batch kernels use: a contiguous
-    /// write run, a scattered write set, and a run of identical epochs.
-    fn exercise_bulk_per_item(backend: &dyn TrackerBackend) -> StateReport {
-        let r = backend.alloc(8);
+    /// write run, a scattered write set, a run of identical epochs, and a span of
+    /// scatter epochs.  This loop is the reference the bulk calls must match.
+    fn exercise_bulk_per_item(t: &StateTracker) -> StateReport {
+        let r = t.alloc(8);
         // Epoch 1: a contiguous run of 4 changed writes (the AMS kernel shape).
-        backend.begin_epoch();
+        t.begin_epoch();
         for i in 0..4 {
-            backend.record_write(Some(r.word(i)), true);
+            t.record_write(Some(r.word(i)), true);
         }
         // Epoch 2: scattered changed writes (the CountMin kernel shape).
-        backend.begin_epoch();
+        t.begin_epoch();
         for a in [6usize, 1, 3] {
-            backend.record_write(Some(r.word(a)), true);
+            t.record_write(Some(r.word(a)), true);
         }
         // Epochs 3..8: a run of 5 identical epochs with 2 writes each (the
         // run-length kernel shape), followed by one write-free epoch.
-        let first = backend.begin_epochs(6);
+        let first = t.begin_epochs(6);
         for id in first..first + 5 {
-            backend.enter_epoch(id);
-            backend.record_write(Some(r.word(2)), true);
-            backend.record_write(Some(r.word(5)), true);
+            t.enter_epoch(id);
+            t.record_write(Some(r.word(2)), true);
+            t.record_write(Some(r.word(5)), true);
         }
-        backend.enter_epoch(first + 5);
-        backend.record_reads(3);
-        backend.snapshot()
+        t.enter_epoch(first + 5);
+        // Epochs 9..11: one epoch per item of a lane-packed scatter block.
+        let first = t.begin_epochs(3);
+        for (i, item) in SCATTER.chunks_exact(2).enumerate() {
+            t.enter_epoch(first + i as u64);
+            for &a in item {
+                t.record_write(Some(r.word(a)), true);
+            }
+        }
+        t.record_reads(3);
+        t.snapshot()
     }
 
     /// The same stimulus through the bulk accounting API.
-    fn exercise_bulk(backend: &dyn TrackerBackend) -> StateReport {
-        let r = backend.alloc(8);
-        backend.begin_epoch();
-        backend.record_changed_run(Some(r.word(0)), 4);
-        backend.begin_epoch();
-        backend.record_changed_at(&[r.word(6), r.word(1), r.word(3)]);
-        let first = backend.begin_epochs(6);
-        backend.record_run_epochs(first, 5, 2, Some(&[r.word(2), r.word(5)]));
-        backend.record_run_epochs(first + 5, 1, 0, None);
-        backend.record_reads(3);
-        backend.snapshot()
+    fn exercise_bulk(t: &StateTracker) -> StateReport {
+        let r = t.alloc(8);
+        t.begin_epoch();
+        t.record_changed_run(Some(r.word(0)), 4);
+        t.begin_epoch();
+        t.record_changed_at(&[r.word(6), r.word(1), r.word(3)]);
+        let first = t.begin_epochs(6);
+        t.record_run_epochs(first, 5, 2, Some(&[r.word(2), r.word(5)]));
+        t.record_run_epochs(first + 5, 1, 0, None);
+        let first = t.begin_epochs(3);
+        let addrs: Vec<usize> = SCATTER.iter().map(|&a| r.word(a)).collect();
+        t.record_scatter_epochs(first, 2, &addrs);
+        t.record_reads(3);
+        t.snapshot()
     }
 
     #[test]
     fn bulk_accounting_is_equivalent_to_the_per_item_loop() {
-        for (bulk, item) in [
-            (
-                exercise_bulk(&FullTracker::new()),
-                exercise_bulk_per_item(&FullTracker::new()),
-            ),
-            (
-                exercise_bulk(&FullTracker::with_address_tracking()),
-                exercise_bulk_per_item(&FullTracker::with_address_tracking()),
-            ),
-            (
-                exercise_bulk(&LeanTracker::new()),
-                exercise_bulk_per_item(&LeanTracker::new()),
-            ),
-        ] {
-            assert_eq!(bulk, item);
+        for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
+            let bulk = StateTracker::of_kind(kind);
+            let item = StateTracker::of_kind(kind);
+            assert_eq!(
+                exercise_bulk(&bulk),
+                exercise_bulk_per_item(&item),
+                "{kind:?}"
+            );
+            // Wear tables, not just their aggregates, and the staleness clock.
+            assert_eq!(bulk.address_writes(), item.address_writes(), "{kind:?}");
+            assert_eq!(
+                bulk.state_change_generation(),
+                item.state_change_generation(),
+                "{kind:?}"
+            );
         }
-        // Wear tables, not just their aggregates.
-        let bulk = FullTracker::with_address_tracking();
-        let item = FullTracker::with_address_tracking();
+        let bulk = StateTracker::with_address_tracking();
         let _ = exercise_bulk(&bulk);
-        let _ = exercise_bulk_per_item(&item);
-        assert_eq!(bulk.address_writes(), item.address_writes());
+        let wear = bulk.address_writes().unwrap();
         // Word 2: one write from the epoch-1 contiguous run plus 5 from the epoch run.
-        assert_eq!(bulk.address_writes().unwrap()[2], 6, "run wear accumulates");
-    }
-
-    #[test]
-    fn bulk_default_impls_match_the_overrides() {
-        // The default (per-word loop) implementations must leave identical counters,
-        // so third-party backends inherit correct semantics.  Exercise them through a
-        // backend that only gets the defaults by calling them explicitly on a shim
-        // that forwards the mandatory methods to a FullTracker.
-        #[derive(Debug)]
-        struct Forwarder(FullTracker);
-        impl TrackerBackend for Forwarder {
-            fn begin_epoch(&self) {
-                self.0.begin_epoch()
-            }
-            fn begin_epochs(&self, n: u64) -> u64 {
-                self.0.begin_epochs(n)
-            }
-            fn enter_epoch(&self, id: u64) {
-                self.0.enter_epoch(id)
-            }
-            fn alloc(&self, words: usize) -> AddrRange {
-                self.0.alloc(words)
-            }
-            fn dealloc(&self, words: usize) {
-                self.0.dealloc(words)
-            }
-            fn record_write(&self, addr: Option<usize>, changed: bool) {
-                self.0.record_write(addr, changed)
-            }
-            // record_changed_run / record_changed_at / record_run_epochs: defaults.
-            fn record_reads(&self, n: u64) {
-                self.0.record_reads(n)
-            }
-            fn state_changes(&self) -> u64 {
-                self.0.state_changes()
-            }
-            fn epochs(&self) -> u64 {
-                self.0.epochs()
-            }
-            fn words_current(&self) -> usize {
-                self.0.words_current()
-            }
-            fn words_peak(&self) -> usize {
-                self.0.words_peak()
-            }
-            fn snapshot(&self) -> StateReport {
-                self.0.snapshot()
-            }
-            fn address_writes(&self) -> Option<Vec<u64>> {
-                self.0.address_writes()
-            }
-            fn kind(&self) -> TrackerKind {
-                self.0.kind()
-            }
-            fn export_state(&self) -> TrackerState {
-                self.0.export_state()
-            }
-            fn import_state(&self, state: &TrackerState) {
-                self.0.import_state(state)
-            }
-        }
-        let defaults = Forwarder(FullTracker::with_address_tracking());
-        let overrides = FullTracker::with_address_tracking();
-        assert_eq!(exercise_bulk(&defaults), exercise_bulk(&overrides));
-        assert_eq!(defaults.address_writes(), overrides.address_writes());
+        assert_eq!(wear[2], 6, "run wear accumulates");
+        // Word 7: hit by two items of the scatter block.
+        assert_eq!(wear[7], 2, "scatter wear counts every item");
     }
 
     #[test]
     fn empty_bulk_calls_are_no_ops() {
-        let t = FullTracker::new();
+        let t = StateTracker::new();
         t.begin_epoch();
         t.record_changed_run(Some(0), 0);
         t.record_changed_at(&[]);
         let first = t.begin_epochs(0);
         t.record_run_epochs(first, 0, 3, None);
+        t.record_scatter_epochs(first, 2, &[]);
         let snap = t.snapshot();
         assert_eq!(snap.state_changes, 0);
         assert_eq!(snap.word_writes, 0);
@@ -1252,26 +298,23 @@ mod tests {
     }
 
     #[test]
-    fn lean_does_not_count_fine_grained_activity() {
-        let lean = exercise(&LeanTracker::new());
-        assert_eq!(lean.word_writes, 0);
-        assert_eq!(lean.redundant_writes, 0);
-        assert_eq!(lean.reads, 0);
-        assert_eq!(lean.max_cell_writes, None);
-        assert_eq!(LeanTracker::new().address_writes(), None);
-    }
-
-    #[test]
     fn full_counts_fine_grained_activity() {
-        let full = exercise(&FullTracker::new());
+        let full = exercise(&StateTracker::new());
+        assert_eq!(full.epochs, 4);
+        assert_eq!(full.state_changes, 3, "redundant-only epoch does not count");
         assert_eq!(full.word_writes, 7); // 1 init + 3 epochs × 2
         assert_eq!(full.redundant_writes, 1);
         assert_eq!(full.reads, 7);
+        assert_eq!((full.words_current, full.words_peak), (2, 4));
+        assert_eq!(
+            full.max_cell_writes, None,
+            "no wear without address tracking"
+        );
     }
 
     #[test]
     fn full_address_tracking_records_wear_through_the_backend() {
-        let full = FullTracker::with_address_tracking();
+        let full = StateTracker::with_address_tracking();
         let snap = exercise(&full);
         assert_eq!(snap.max_cell_writes, Some(4), "word 0: init + 3 epochs");
         assert_eq!(snap.tracked_cells, Some(4));
@@ -1281,113 +324,16 @@ mod tests {
 
     #[test]
     fn kinds_are_reported() {
-        assert_eq!(FullTracker::new().kind(), TrackerKind::Full);
+        assert_eq!(StateTracker::new().kind(), TrackerKind::Full);
         assert_eq!(
-            FullTracker::with_address_tracking().kind(),
+            StateTracker::with_address_tracking().kind(),
             TrackerKind::FullAddressTracked
         );
-        assert_eq!(LeanTracker::new().kind(), TrackerKind::Lean);
-    }
-
-    #[test]
-    fn lean_allocations_hand_out_disjoint_ranges() {
-        let lean = LeanTracker::new();
-        let a = lean.alloc(3);
-        let b = lean.alloc(2);
-        assert_eq!(a.start, 0);
-        assert_eq!(b.start, 3);
-        assert_eq!(lean.words_peak(), 5);
-        lean.dealloc(3);
-        assert_eq!(lean.words_current(), 2);
-        lean.dealloc(100);
-        assert_eq!(lean.words_current(), 0, "dealloc saturates at zero");
-    }
-
-    #[test]
-    fn dirty_journal_tracks_addressed_writes_per_epoch() {
-        let t = FullTracker::with_address_tracking();
-        let r = t.alloc(6);
-        t.record_write(Some(r.word(0)), true); // pre-epoch init: never dirty
-        t.begin_epoch(); // epoch 1
-        t.record_write(Some(r.word(1)), true);
-        t.begin_epoch(); // epoch 2
-        t.record_write(Some(r.word(2)), true);
-        t.record_write(Some(r.word(3)), false); // redundant: not dirty
-        t.begin_epoch(); // epoch 3
-        t.record_changed_at(&[r.word(1), r.word(4)]);
-
-        assert_eq!(t.dirty_since(3), Some(vec![]));
-        assert_eq!(t.dirty_since(2), Some(vec![1, 4]));
-        assert_eq!(t.dirty_since(1), Some(vec![1, 2, 4]));
-        assert_eq!(t.dirty_since(0), Some(vec![1, 2, 4]));
-
-        // Drain semantics: first drain reports everything since construction, the
-        // next only what happened after it.
-        assert_eq!(t.drain_dirty(), Some(vec![1, 2, 4]));
-        assert_eq!(t.drain_dirty(), Some(vec![]));
-        t.begin_epoch();
-        t.record_changed_run(Some(r.word(4)), 2);
-        assert_eq!(t.drain_dirty(), Some(vec![4, 5]));
-    }
-
-    #[test]
-    fn anonymous_writes_force_the_conservative_answer() {
-        let t = FullTracker::with_address_tracking();
-        let r = t.alloc(2);
-        t.begin_epoch();
-        t.record_write(Some(r.word(0)), true);
-        assert_eq!(t.dirty_since(0), Some(vec![0]));
-        t.begin_epoch(); // epoch 2
-        t.record_write(None, true); // a TrackedMap-style anonymous mutation
-        assert_eq!(t.dirty_since(1), None, "anon write after the base taints");
-        assert_eq!(
-            t.dirty_since(2),
-            Some(vec![]),
-            "a base at-or-after the taint is clean again"
-        );
-        // A None drain still advances the mark: the caller persisted everything.
-        assert_eq!(t.drain_dirty(), None);
-        assert_eq!(t.drain_dirty(), Some(vec![]));
-    }
-
-    #[test]
-    fn journal_answers_none_without_address_tracking() {
-        for backend in [
-            Box::new(FullTracker::new()) as Box<dyn TrackerBackend>,
-            Box::new(LeanTracker::new()),
-        ] {
-            backend.begin_epoch();
-            backend.record_write(Some(0), true);
-            assert_eq!(backend.dirty_since(0), None);
-            assert_eq!(backend.drain_dirty(), None);
-        }
-    }
-
-    #[test]
-    fn journal_is_conservative_after_import() {
-        let t = FullTracker::with_address_tracking();
-        let r = t.alloc(2);
-        for _ in 0..4 {
-            t.begin_epoch();
-            t.record_write(Some(r.word(0)), true);
-        }
-        let state = t.export_state();
-        let restored = FullTracker::with_address_tracking();
-        restored.import_state(&state);
-        assert_eq!(
-            restored.dirty_since(2),
-            None,
-            "pre-import history is unknown: answer conservatively"
-        );
-        assert_eq!(restored.dirty_since(4), Some(vec![]));
-        restored.begin_epoch(); // epoch 5
-        restored.record_write(Some(r.word(1)), true);
-        assert_eq!(restored.dirty_since(4), Some(vec![1]));
     }
 
     #[test]
     fn full_generation_ticks_per_changed_write_and_never_on_noise() {
-        let t = FullTracker::new();
+        let t = StateTracker::new();
         let r = t.alloc(4);
         assert_eq!(t.state_change_generation(), 0);
         t.begin_epoch();
@@ -1409,35 +355,9 @@ mod tests {
     }
 
     #[test]
-    fn lean_generation_coalesces_to_one_tick_per_epoch() {
-        let t = LeanTracker::new();
-        let r = t.alloc(4);
-        t.begin_epoch();
-        t.record_write(Some(r.word(0)), true);
-        t.record_write(Some(r.word(1)), true);
-        t.record_changed_run(Some(r.word(0)), 3);
-        assert_eq!(
-            t.state_change_generation(),
-            1,
-            "all changed writes of one epoch are one tick"
-        );
-        t.begin_epoch();
-        t.record_write(Some(r.word(0)), false);
-        assert_eq!(t.state_change_generation(), 1);
-        t.begin_epoch();
-        t.record_changed_at(&[r.word(2)]);
-        assert_eq!(t.state_change_generation(), 2);
-    }
-
-    #[test]
     fn generation_is_tainted_forward_by_import_never_rewound() {
-        for (t, restored) in [
-            (
-                Box::new(FullTracker::new()) as Box<dyn TrackerBackend>,
-                Box::new(FullTracker::new()) as Box<dyn TrackerBackend>,
-            ),
-            (Box::new(LeanTracker::new()), Box::new(LeanTracker::new())),
-        ] {
+        for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
+            let t = StateTracker::of_kind(kind);
             let r = t.alloc(2);
             for _ in 0..3 {
                 t.begin_epoch();
@@ -1445,21 +365,25 @@ mod tests {
             }
             let before = t.state_change_generation();
             let state = t.export_state();
-            // Import into the *same* backend: counters rewind to the checkpoint,
+            // Import into the *same* tracker: counters rewind to the checkpoint,
             // but the staleness clock must move strictly forward.
             t.import_state(&state);
             assert!(
                 t.state_change_generation() > before,
-                "import taints the clock forward on {:?}",
-                t.kind()
+                "import taints the clock forward on {kind:?}"
             );
-            // Import into a fresh backend: even with zero local history the
+            // Import into a fresh tracker: even with zero local history the
             // imported state is a mutation, so the clock leaves zero.
+            let restored = StateTracker::of_kind(kind);
             restored.import_state(&state);
             assert!(
                 restored.state_change_generation() > 0,
-                "cold import still ticks on {:?}",
-                restored.kind()
+                "cold import still ticks on {kind:?}"
+            );
+            assert_eq!(
+                restored.export_state(),
+                state,
+                "import is exact on {kind:?}"
             );
         }
     }
@@ -1468,23 +392,20 @@ mod tests {
     fn generation_satisfies_the_epoch_boundary_contract() {
         // At every epoch boundary: generation advanced since the last boundary
         // iff some observable mutation happened in between.
-        for backend in [
-            Box::new(FullTracker::new()) as Box<dyn TrackerBackend>,
-            Box::new(LeanTracker::new()),
-        ] {
-            let r = backend.alloc(8);
-            let mut last = backend.state_change_generation();
+        for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
+            let t = StateTracker::of_kind(kind);
+            let r = t.alloc(8);
+            let mut last = t.state_change_generation();
             for i in 0..32u64 {
-                backend.begin_epoch();
+                t.begin_epoch();
                 let mutated = i % 3 == 0;
-                backend.record_write(Some(r.word((i % 8) as usize)), mutated);
-                let now = backend.state_change_generation();
-                assert!(now >= last, "monotone on {:?}", backend.kind());
+                t.record_write(Some(r.word((i % 8) as usize)), mutated);
+                let now = t.state_change_generation();
+                assert!(now >= last, "monotone on {kind:?}");
                 assert_eq!(
                     now > last,
                     mutated,
-                    "advances iff the epoch mutated on {:?}",
-                    backend.kind()
+                    "advances iff the epoch mutated on {kind:?}"
                 );
                 last = now;
             }
@@ -1493,19 +414,21 @@ mod tests {
 
     #[test]
     fn backends_are_shareable_across_threads() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<FullTracker>();
-        assert_send_sync::<LeanTracker>();
-        let lean = std::sync::Arc::new(LeanTracker::new());
+        let t = StateTracker::with_address_tracking();
+        let r = t.alloc(4);
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                let lean = std::sync::Arc::clone(&lean);
+            for i in 0..4 {
+                let t = t.clone();
                 s.spawn(move || {
                     for _ in 0..100 {
-                        lean.record_reads(1);
+                        t.record_reads(1);
                     }
+                    // The wear table sits behind a mutex, so addressed writes from
+                    // several threads never lose an increment.
+                    t.record_write(Some(r.word(i)), true);
                 });
             }
         });
+        assert_eq!(t.address_writes(), Some(vec![1; 4]));
     }
 }

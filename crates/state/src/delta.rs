@@ -27,15 +27,13 @@
 //!
 //! Tracked addresses ([`crate::AddrRange`]) are abstract word indices with no stable
 //! mapping to checkpoint byte offsets: container layouts are algorithm-private, and
-//! [`crate::TrackedMap`] writes are anonymous (no address at all).  The per-backend
-//! dirty journal ([`crate::backend::TrackerBackend::dirty_since`]) therefore serves
-//! as a *conservative observability layer* — it tells persistence layers when nothing
-//! changed and bounds how much could have — while the delta encoding itself diffs the
-//! serialized state, which is correct for every algorithm unconditionally.  Because
-//! checkpoint encodings are deterministic and word-aligned (`SnapshotWriter` emits
-//! little-endian words), a summary with few state changes produces a byte diff whose
-//! size tracks the changed words, which is exactly the persistence-cost claim the
-//! `fig_engine` curves measure (EXPERIMENTS.md §checkpoint-bytes).
+//! [`crate::TrackedMap`] writes are anonymous (no address at all).  The delta encoding
+//! therefore diffs the serialized state, which is correct for every algorithm
+//! unconditionally.  Because checkpoint encodings are deterministic and word-aligned
+//! (`SnapshotWriter` emits little-endian words), a summary with few state changes
+//! produces a byte diff whose size tracks the changed words, which is exactly the
+//! persistence-cost claim the `fig_engine` curves measure (EXPERIMENTS.md
+//! §checkpoint-bytes).
 
 use crate::snapshot::{SnapshotError, SnapshotReader, SNAPSHOT_VERSION};
 use crate::traits::Snapshot;

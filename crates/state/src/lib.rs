@@ -13,9 +13,7 @@
 //! * [`StateTracker`] — a cheaply clonable handle that records, per stream update
 //!   ("epoch"), whether any tracked word of memory changed, along with finer-grained
 //!   counters (word writes, redundant writes, reads) and space usage (current / peak
-//!   words).  The handle dispatches to a pluggable [`backend`]: the exact-accounting
-//!   [`FullTracker`] (default) or the atomic, `Send + Sync` [`LeanTracker`] that counts
-//!   only epochs, state changes, and space.
+//!   words).  Its [`TrackerKind`] says whether it also records per-address wear.
 //! * [`TrackedCell`], [`TrackedVec`], [`TrackedMatrix`], [`TrackedMap`] — drop-in
 //!   storage primitives that report every mutation to their tracker and only count a
 //!   *state change* when the stored value actually differs.
@@ -51,7 +49,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
+mod backend;
 mod cell;
 pub mod delta;
 mod map;
@@ -63,7 +61,7 @@ mod tracker;
 pub mod traits;
 mod vec;
 
-pub use backend::{FullTracker, LeanTracker, TrackerBackend, TrackerKind};
+pub use backend::TrackerKind;
 pub use cell::TrackedCell;
 pub use delta::{
     apply_delta, encode_delta, peek_delta, BaseRef, ChainRecovery, CheckpointChain, DeltaInfo,
@@ -124,16 +122,12 @@ mod tests {
     }
 
     /// `filled` constructors charge their initialisation with one bulk run; every
-    /// backend must account it exactly like the per-word loop it replaced —
+    /// tracker kind must account it exactly like the per-word loop it replaced —
     /// counters, wear table, staleness clock — including construction inside an
     /// open epoch, where the whole initialisation is one state change.
     #[test]
     fn bulk_init_charge_matches_the_per_word_loop() {
-        for kind in [
-            TrackerKind::Full,
-            TrackerKind::FullAddressTracked,
-            TrackerKind::Lean,
-        ] {
+        for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
             for open_epoch in [false, true] {
                 let bulk = StateTracker::of_kind(kind);
                 let looped = StateTracker::of_kind(kind);

@@ -14,9 +14,9 @@
 //!   serde).  Every reader method returns [`SnapshotError::Truncated`] instead of
 //!   panicking on short input, and length prefixes are validated against the remaining
 //!   byte count before any allocation, so corrupt input cannot trigger an OOM;
-//! * [`TrackerState`] — the complete counter state of a tracker backend (including the
+//! * [`TrackerState`] — the complete counter state of a tracker (including the
 //!   per-address wear table when present), exported via
-//!   [`TrackerBackend::export_state`](crate::backend::TrackerBackend::export_state) and
+//!   [`StateTracker::export_state`](crate::StateTracker::export_state) and
 //!   re-imported on restore so that `restore(checkpoint(a))` reproduces not just the
 //!   answers but the full [`crate::StateReport`] and wear accounting.
 
@@ -378,17 +378,17 @@ pub fn write_u64_slice(w: &mut SnapshotWriter, values: &[u64]) {
 }
 
 // ---------------------------------------------------------------------------
-// TrackerState — the serializable counter state of a tracker backend.
+// TrackerState — the serializable counter state of a tracker.
 // ---------------------------------------------------------------------------
 
-/// The complete counter state of a tracker backend, sufficient to make a freshly
+/// The complete counter state of a tracker, sufficient to make a freshly
 /// constructed tracker observably identical to the exported one: the same
 /// [`StateReport`], the same per-address wear table, the same epoch clock, and the
 /// same address-allocation cursor (so writes *after* a restore land on the same
 /// tracked addresses as they would have on the original).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackerState {
-    /// Backend kind the state was exported from (restore builds the same kind).
+    /// Tracker kind the state was exported from (restore builds the same kind).
     pub kind: TrackerKind,
     /// Current epoch id (number of stream updates entered).
     pub epochs: u64,
@@ -396,11 +396,11 @@ pub struct TrackerState {
     pub last_change_epoch: u64,
     /// Paper-definition state changes.
     pub state_changes: u64,
-    /// Changed word writes (0 on the lean backend).
+    /// Changed word writes.
     pub word_writes: u64,
-    /// Redundant word writes (0 on the lean backend).
+    /// Redundant word writes.
     pub redundant_writes: u64,
-    /// Word reads (0 on the lean backend).
+    /// Word reads.
     pub reads: u64,
     /// Currently allocated words.
     pub words_current: usize,
@@ -590,7 +590,7 @@ mod tests {
                 kind: if wear.is_some() {
                     TrackerKind::FullAddressTracked
                 } else {
-                    TrackerKind::Lean
+                    TrackerKind::Full
                 },
                 epochs: 10,
                 last_change_epoch: 9,

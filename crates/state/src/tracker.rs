@@ -1,9 +1,11 @@
-//! The [`StateTracker`] handle dispatching to a pluggable [`TrackerBackend`].
+//! The [`StateTracker`] handle and its exact state-change accounting.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::backend::{FullTracker, LeanTracker, TrackerBackend, TrackerKind};
+use crate::backend::{bump, EpochState, TrackerKind};
 use crate::report::StateReport;
+use crate::snapshot::TrackerState;
 
 /// A contiguous range of tracked memory addresses, returned by [`StateTracker::alloc`].
 ///
@@ -40,18 +42,16 @@ impl AddrRange {
 
 /// Shared handle recording all memory activity of one streaming algorithm.
 ///
-/// The handle is a thin reference-counted pointer to a [`TrackerBackend`], so tracked
-/// containers each hold a clone of it.  The backend decides what is counted:
+/// The handle is a reference-counted pointer to one block of counters, so tracked
+/// containers each hold a clone of it and all clones count into the same totals.  It
+/// keeps the exact accounting — state changes, word writes, redundant writes, reads,
+/// and current/peak space — and, when built with
+/// [`StateTracker::with_address_tracking`], per-address wear counts as well.
 ///
-/// * [`StateTracker::new`] (the default) — the exact-accounting [`FullTracker`];
-/// * [`StateTracker::with_address_tracking`] — exact accounting plus per-cell wear;
-/// * [`StateTracker::lean`] — the atomic [`LeanTracker`] (epochs, state changes, and
-///   space only) whose update path is a few relaxed atomic operations.
-///
-/// Every backend is internally synchronised, so the handle — and therefore every
-/// algorithm built on tracked containers — is `Send + Sync`.  The streaming model
-/// itself stays sequential per tracker: a state change is a per-update notion, and
-/// sharded runs give each shard its own tracker.
+/// The counters are relaxed atomics and the wear table sits behind a mutex, so the
+/// handle — and therefore every algorithm built on tracked containers — is
+/// `Send + Sync`.  The streaming model itself stays sequential per tracker: a state
+/// change is a per-update notion, and sharded runs give each shard its own tracker.
 ///
 /// # Epochs
 ///
@@ -62,7 +62,38 @@ impl AddrRange {
 /// the epoch contributes at most one state change.
 #[derive(Debug, Clone)]
 pub struct StateTracker {
-    backend: Arc<dyn TrackerBackend>,
+    counters: Arc<Counters>,
+}
+
+/// The counters every clone of one [`StateTracker`] shares.
+#[derive(Debug, Default)]
+struct Counters {
+    /// Paper-definition state changes: number of epochs in which ≥ 1 word changed.
+    state_changes: AtomicU64,
+    /// Number of individual word writes that changed the stored value.
+    word_writes: AtomicU64,
+    /// Number of word writes whose new value equalled the old value.
+    redundant_writes: AtomicU64,
+    /// Number of word reads.
+    reads: AtomicU64,
+    /// Current/last-state-change epoch ids (one epoch per stream update).
+    epoch: EpochState,
+    /// Currently allocated words.
+    words_current: AtomicUsize,
+    /// Peak allocated words over the lifetime of the tracker.
+    words_peak: AtomicUsize,
+    /// Next free address for `alloc`.
+    next_addr: AtomicUsize,
+    /// Lifetime changed-write count per address; populated only when
+    /// `address_tracked` is set.
+    wear: Mutex<Vec<u64>>,
+    /// Monotone staleness clock (see [`StateTracker::state_change_generation`]):
+    /// ticks per changed write plus one taint tick per import.  Deliberately **not**
+    /// serialized in [`TrackerState`] — it is an ephemeral per-instance clock, so the
+    /// checkpoint format is unchanged.
+    generation: AtomicU64,
+    /// Whether per-address wear accounting is enabled (fixed at construction).
+    address_tracked: bool,
 }
 
 impl Default for StateTracker {
@@ -72,7 +103,7 @@ impl Default for StateTracker {
 }
 
 impl StateTracker {
-    /// Creates a tracker with the exact-accounting [`FullTracker`] backend.
+    /// Creates a tracker with exact aggregate accounting ([`TrackerKind::Full`]).
     pub fn new() -> Self {
         Self::of_kind(TrackerKind::Full)
     }
@@ -80,186 +111,360 @@ impl StateTracker {
     /// Creates an exact tracker that additionally records per-address write counts,
     /// enabling wear analysis through [`crate::nvm::NvmReport`].
     ///
-    /// Address tracking costs one `u64` per tracked word, so it is intended for
-    /// moderate-size experiments (it is an analysis feature, not part of the algorithm).
+    /// Address tracking costs one `u64` per tracked word plus a lock per addressed
+    /// write, so it is intended for moderate-size experiments (it is an analysis
+    /// feature, not part of the algorithm).
     pub fn with_address_tracking() -> Self {
         Self::of_kind(TrackerKind::FullAddressTracked)
     }
 
-    /// Creates a tracker with the near-zero-overhead [`LeanTracker`] backend: atomic
-    /// epoch/state-change/space counters only (see the backend docs for what is and is
-    /// not counted).
-    pub fn lean() -> Self {
-        Self::of_kind(TrackerKind::Lean)
-    }
-
-    /// Creates a tracker with the given backend kind — the hook `Params`-style
-    /// configuration uses to select a backend per algorithm without touching algorithm
-    /// code.
+    /// Creates a tracker of the given kind — the hook `Params`-style configuration
+    /// uses to choose wear tracking per algorithm without touching algorithm code.
     pub fn of_kind(kind: TrackerKind) -> Self {
-        match kind {
-            TrackerKind::Full => Self::from_backend(Arc::new(FullTracker::new())),
-            TrackerKind::FullAddressTracked => {
-                Self::from_backend(Arc::new(FullTracker::with_address_tracking()))
-            }
-            TrackerKind::Lean => Self::from_backend(Arc::new(LeanTracker::new())),
+        Self {
+            counters: Arc::new(Counters {
+                address_tracked: kind == TrackerKind::FullAddressTracked,
+                ..Counters::default()
+            }),
         }
     }
 
-    /// Wraps a caller-supplied backend (e.g. a custom instrumented implementation).
-    pub fn from_backend(backend: Arc<dyn TrackerBackend>) -> Self {
-        Self { backend }
+    /// The kind this tracker was constructed with.
+    pub fn kind(&self) -> TrackerKind {
+        if self.counters.address_tracked {
+            TrackerKind::FullAddressTracked
+        } else {
+            TrackerKind::Full
+        }
     }
 
-    /// The kind of backend this tracker dispatches to.
-    pub fn kind(&self) -> TrackerKind {
-        self.backend.kind()
+    fn wear_table(&self) -> MutexGuard<'_, Vec<u64>> {
+        match self.counters.wear.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Counts `n` changed writes in the current epoch: the word and generation
+    /// counters, plus the epoch's state change if these are its first changed writes.
+    #[inline(always)]
+    fn count_changed(&self, n: u64) {
+        let c = &*self.counters;
+        bump(&c.word_writes, n);
+        bump(&c.generation, n);
+        if c.epoch.claims_state_change() {
+            bump(&c.state_changes, 1);
+        }
+    }
+
+    /// Enters the fresh epochs `first..first + n` (n ≥ 1), each a state change, and
+    /// counts `writes` changed writes across them.
+    #[inline(always)]
+    fn count_claimed_run(&self, first: u64, n: u64, writes: u64) {
+        let c = &*self.counters;
+        c.epoch.enter_claimed_run(first, n);
+        bump(&c.state_changes, n);
+        bump(&c.word_writes, writes);
+        bump(&c.generation, writes);
+    }
+
+    /// Adds `n` to the wear of each of `addrs` when wear is tracked, growing the
+    /// table past its end if needed.
+    #[inline]
+    fn add_wear(&self, addrs: &[usize], n: u64) {
+        if !self.counters.address_tracked {
+            return;
+        }
+        let mut wear = self.wear_table();
+        for &a in addrs {
+            if wear.len() <= a {
+                wear.resize(a + 1, 0);
+            }
+            wear[a] += n;
+        }
     }
 
     /// Starts a new epoch (stream update).  At most one state change is counted per
     /// epoch regardless of how many words are modified within it.
+    #[inline]
     pub fn begin_epoch(&self) {
-        self.backend.begin_epoch()
+        self.counters.epoch.begin()
     }
 
-    /// Reserves a span of `n` consecutive epochs and returns the id of the first; the
-    /// batch loop then activates each id in turn with [`StateTracker::enter_epoch`].
+    /// Reserves a span of `n` consecutive epochs and returns the id of the first.
     ///
-    /// This is the batch-amortised face of [`StateTracker::begin_epoch`]: the backends
-    /// implement the pair so that a whole batch costs O(1) atomic read-modify-writes
-    /// while [`StateTracker::epochs`] still advances per activated epoch (mid-batch
-    /// observers such as age-bucketed maintenance see per-item time).
+    /// The caller must activate each epoch in turn with [`StateTracker::enter_epoch`]
+    /// (ids `first..first + n`), exactly one activation per stream update, before
+    /// reserving another span or calling [`StateTracker::begin_epoch`].  The epoch
+    /// count observed through [`StateTracker::epochs`] advances per *activation*, so
+    /// mid-batch observers such as age-bucketed maintenance see the same values as
+    /// with per-item `begin_epoch` calls, while a whole batch costs no atomic
+    /// read-modify-write.
+    #[inline]
     pub fn begin_epochs(&self, n: u64) -> u64 {
-        self.backend.begin_epochs(n)
+        let _ = n;
+        self.counters.epoch.reserve()
     }
 
     /// Activates reserved epoch `id` (see [`StateTracker::begin_epochs`]).
     #[inline]
     pub fn enter_epoch(&self, id: u64) {
-        self.backend.enter_epoch(id)
+        self.counters.epoch.enter(id)
     }
 
     /// Allocates `words` words of tracked memory and charges them to the space accounts.
     pub fn alloc(&self, words: usize) -> AddrRange {
-        self.backend.alloc(words)
+        let c = &*self.counters;
+        let start = c.next_addr.fetch_add(words, Ordering::Relaxed);
+        let current = c.words_current.fetch_add(words, Ordering::Relaxed) + words;
+        c.words_peak.fetch_max(current, Ordering::Relaxed);
+        if c.address_tracked {
+            // Grow-only: a concurrent alloc may already have extended the table past
+            // this range's end, and resizing down would truncate its wear counts.
+            let mut wear = self.wear_table();
+            if wear.len() < start + words {
+                wear.resize(start + words, 0);
+            }
+        }
+        AddrRange { start, len: words }
     }
 
     /// Releases `words` words of tracked memory (peak usage is unaffected).
     pub fn dealloc(&self, words: usize) {
-        self.backend.dealloc(words)
+        let _ =
+            self.counters
+                .words_current
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                    Some(cur.saturating_sub(words))
+                });
     }
 
     /// Records a write to one word.  `changed` must be `true` iff the stored value
     /// actually differs from the previous value; only changed writes can trigger a state
-    /// change.  `addr` feeds per-cell wear accounting when enabled.
+    /// change.  `addr` feeds per-cell wear accounting when enabled; anonymous (`None`)
+    /// writes are counted but wear no cell.
+    #[inline]
     pub fn record_write(&self, addr: Option<usize>, changed: bool) {
-        self.backend.record_write(addr, changed)
+        if !changed {
+            bump(&self.counters.redundant_writes, 1);
+            return;
+        }
+        self.count_changed(1);
+        if let Some(a) = addr {
+            self.add_wear(&[a], 1);
+        }
     }
 
     /// Records `n` changed writes at the consecutive addresses `start..start + n`
-    /// within the current epoch — the bulk face of [`StateTracker::record_write`] used
-    /// by batch kernels whose writes land on a contiguous run (see
-    /// [`crate::backend::TrackerBackend::record_changed_run`]).
+    /// (`None` for anonymous words), all within the current epoch — the bulk
+    /// equivalent of `n` calls to [`StateTracker::record_write`] with
+    /// `changed = true`, in constant time without wear tracking.  Used by batch
+    /// kernels whose per-item writes land on a contiguous address run (e.g. an AMS
+    /// sketch touching every counter).
     #[inline]
     pub fn record_changed_run(&self, start: Option<usize>, n: u64) {
-        self.backend.record_changed_run(start, n)
+        if n == 0 {
+            return;
+        }
+        self.count_changed(n);
+        if let (true, Some(start)) = (self.counters.address_tracked, start) {
+            let end = start + n as usize;
+            let mut wear = self.wear_table();
+            if wear.len() < end {
+                wear.resize(end, 0);
+            }
+            for w in &mut wear[start..end] {
+                *w += 1;
+            }
+        }
     }
 
-    /// Records one changed write at each of `addrs` within the current epoch (see
-    /// [`crate::backend::TrackerBackend::record_changed_at`]).
+    /// Records one changed write at each of `addrs`, all within the current epoch —
+    /// the bulk equivalent of per-address [`StateTracker::record_write`] calls with
+    /// `changed = true`.  Used by batch kernels with scattered per-item writes (e.g.
+    /// one counter per CountMin row).
     #[inline]
     pub fn record_changed_at(&self, addrs: &[usize]) {
-        self.backend.record_changed_at(addrs)
+        if addrs.is_empty() {
+            return;
+        }
+        self.count_changed(addrs.len() as u64);
+        self.add_wear(addrs, 1);
     }
 
-    /// Activates the reserved epochs `first..first + n` and records `writes` changed
-    /// word writes in each — the bulk accounting call behind run-length kernels (see
-    /// [`crate::backend::TrackerBackend::record_run_epochs`] for the exact contract).
+    /// Activates each reserved epoch `first..first + n` in turn and records, within
+    /// each, `writes` changed word writes — at the addresses `addrs` when provided
+    /// (then `writes` must equal `addrs.len()`), anonymously otherwise.  This is the
+    /// bulk equivalent of the per-item loop
+    /// `for id in first..first + n { enter_epoch(id); for each write: record_write(_, true) }`
+    /// and is what lets a run-length kernel process a run of identical updates with
+    /// O(1) accounting calls.  The caller must have reserved the span via
+    /// [`StateTracker::begin_epochs`] and must not have entered any of its epochs.
     #[inline]
     pub fn record_run_epochs(&self, first: u64, n: u64, writes: u64, addrs: Option<&[usize]>) {
-        self.backend.record_run_epochs(first, n, writes, addrs)
+        debug_assert!(addrs.is_none_or(|a| a.len() as u64 == writes));
+        if n == 0 {
+            return;
+        }
+        if writes == 0 {
+            // Entering epochs without writes changes no counter except the clock.
+            self.counters.epoch.enter(first + n - 1);
+            return;
+        }
+        self.count_claimed_run(first, n, n * writes);
+        if let Some(addrs) = addrs {
+            self.add_wear(addrs, n);
+        }
     }
 
-    /// Activates each reserved epoch `first + i` and records, within it, one changed
-    /// write at each address of `addrs[i * writes..(i + 1) * writes]` — the bulk
-    /// accounting call behind the lane-packed scatter kernels (see
-    /// [`crate::backend::TrackerBackend::record_scatter_epochs`] for the exact
-    /// contract and the constant-time backend overrides).
+    /// Activates each reserved epoch `first + i` for `i in 0..addrs.len() / writes`
+    /// in turn and records, within it, one changed write at each address of
+    /// `addrs[i * writes..(i + 1) * writes]` — the bulk equivalent of the per-item
+    /// scatter-accounting loop
+    /// `for each item: enter_epoch(first + i); record_changed_at(item addrs)`
+    /// used by the lane-packed batch kernels (`writes` probes per item, every probe
+    /// a changed write, as in CountMin/CountSketch).  `addrs.len()` must be a
+    /// multiple of `writes`, and the caller must have reserved the span via
+    /// [`StateTracker::begin_epochs`] without entering any of its epochs.
+    ///
+    /// The counters are updated in constant time: every scatter epoch carries
+    /// `writes ≥ 1` changed writes, so each claims exactly one state change and the
+    /// clock ends on the last epoch with `last_change == current` — exactly where the
+    /// per-item loop leaves it.  With wear tracking on, one more pass adds each
+    /// address's wear.
     #[inline]
     pub fn record_scatter_epochs(&self, first: u64, writes: usize, addrs: &[usize]) {
-        self.backend.record_scatter_epochs(first, writes, addrs)
+        if writes == 0 || addrs.is_empty() {
+            return;
+        }
+        debug_assert_eq!(addrs.len() % writes, 0);
+        let n = (addrs.len() / writes) as u64;
+        self.count_claimed_run(first, n, addrs.len() as u64);
+        self.add_wear(addrs, 1);
     }
 
     /// Records `n` word reads.
+    #[inline]
     pub fn record_reads(&self, n: u64) {
-        self.backend.record_reads(n)
+        bump(&self.counters.reads, n)
     }
 
     /// Number of state changes so far (paper definition).
     pub fn state_changes(&self) -> u64 {
-        self.backend.state_changes()
+        self.counters.state_changes.load(Ordering::Relaxed)
     }
 
-    /// Monotone staleness clock for cached serving views; see
-    /// [`TrackerBackend::state_change_generation`] for the conservative contract
-    /// (compare only at epoch boundaries; restore taints the clock forward).
+    /// A monotone **staleness clock** for cached serving views: a counter that never
+    /// decreases over the lifetime of this tracker and ticks on every changed word
+    /// write and once per [`StateTracker::import_state`] (which replaces the whole
+    /// state, so it *taints* the clock forward even when the restored counters
+    /// rewind).  Redundant writes and reads never tick it.
+    ///
+    /// Compare two readings only at epoch boundaries — between stream updates, never
+    /// mid-update.  Under that discipline, `generation unchanged` implies `no state
+    /// change happened in between`, which is what lets a cached serving view skip its
+    /// rebuild.  The converse is deliberately weak: an import that restored identical
+    /// state still ticks, which costs a spurious rebuild, never a stale answer.
     pub fn state_change_generation(&self) -> u64 {
-        self.backend.state_change_generation()
+        self.counters.generation.load(Ordering::Relaxed)
     }
 
     /// Number of epochs (stream updates) started so far.
+    #[inline]
     pub fn epochs(&self) -> u64 {
-        self.backend.epochs()
+        self.counters.epoch.epochs()
     }
 
     /// Current number of allocated words.
     pub fn words_current(&self) -> usize {
-        self.backend.words_current()
+        self.counters.words_current.load(Ordering::Relaxed)
     }
 
     /// Peak number of allocated words.
     pub fn words_peak(&self) -> usize {
-        self.backend.words_peak()
+        self.counters.words_peak.load(Ordering::Relaxed)
     }
 
-    /// Produces an immutable snapshot of every counter the backend maintains.
+    /// Produces an immutable snapshot of every counter.
     pub fn snapshot(&self) -> StateReport {
-        self.backend.snapshot()
+        let c = &*self.counters;
+        let (max_cell_writes, tracked_cells, total_addr_writes) = if c.address_tracked {
+            let wear = self.wear_table();
+            (
+                wear.iter().copied().max(),
+                Some(wear.len()),
+                Some(wear.iter().sum()),
+            )
+        } else {
+            (None, None, None)
+        };
+        StateReport {
+            state_changes: self.state_changes(),
+            word_writes: c.word_writes.load(Ordering::Relaxed),
+            redundant_writes: c.redundant_writes.load(Ordering::Relaxed),
+            reads: c.reads.load(Ordering::Relaxed),
+            epochs: self.epochs(),
+            words_current: self.words_current(),
+            words_peak: self.words_peak(),
+            max_cell_writes,
+            tracked_cells,
+            total_addr_writes,
+        }
     }
 
     /// Per-address write counts, if address tracking is enabled.
     pub fn address_writes(&self) -> Option<Vec<u64>> {
-        self.backend.address_writes()
+        self.counters
+            .address_tracked
+            .then(|| self.wear_table().clone())
     }
 
-    /// Exports the complete counter state for checkpointing (see
-    /// [`crate::snapshot::TrackerState`]).
-    pub fn export_state(&self) -> crate::snapshot::TrackerState {
-        self.backend.export_state()
+    /// Exports the complete counter state for checkpointing (see [`TrackerState`]):
+    /// every aggregate counter, the epoch clock including the last-state-change epoch,
+    /// the address-allocation cursor, and the wear table when present.
+    pub fn export_state(&self) -> TrackerState {
+        let c = &*self.counters;
+        TrackerState {
+            kind: self.kind(),
+            epochs: self.epochs(),
+            last_change_epoch: c.epoch.last_change(),
+            state_changes: self.state_changes(),
+            word_writes: c.word_writes.load(Ordering::Relaxed),
+            redundant_writes: c.redundant_writes.load(Ordering::Relaxed),
+            reads: c.reads.load(Ordering::Relaxed),
+            words_current: self.words_current(),
+            words_peak: self.words_peak(),
+            next_addr: c.next_addr.load(Ordering::Relaxed),
+            wear: self.address_writes(),
+        }
     }
 
     /// Overwrites every counter with a previously exported state — the final step of
     /// an algorithm restore, after its containers have been rebuilt (any accounting
     /// the rebuild charged is clobbered by this call, which is what makes
     /// `restore(checkpoint(a))` reproduce the original [`crate::StateReport`] and
-    /// wear table exactly).
-    pub fn import_state(&self, state: &crate::snapshot::TrackerState) {
-        self.backend.import_state(state)
-    }
-
-    /// The addresses dirtied after `epoch`, or `None` as the conservative
-    /// "assume everything changed" answer (see
-    /// [`crate::backend::TrackerBackend::dirty_since`] for the exact soundness
-    /// contract — only the address-tracked backend ever answers `Some`).
-    pub fn dirty_since(&self, epoch: u64) -> Option<Vec<usize>> {
-        self.backend.dirty_since(epoch)
-    }
-
-    /// Drains the dirty-address journal since the previous drain.  Call only at an
-    /// epoch boundary — between updates — or current-epoch writes after the drain go
-    /// unreported (see [`crate::backend::TrackerBackend::drain_dirty`]).
-    pub fn drain_dirty(&self) -> Option<Vec<usize>> {
-        self.backend.drain_dirty()
+    /// wear table exactly).  Called on a tracker of the same kind as the exporter.
+    pub fn import_state(&self, state: &TrackerState) {
+        debug_assert_eq!(state.kind, self.kind(), "import into a same-kind tracker");
+        let c = &*self.counters;
+        c.epoch.restore(state.epochs, state.last_change_epoch);
+        c.state_changes
+            .store(state.state_changes, Ordering::Relaxed);
+        c.word_writes.store(state.word_writes, Ordering::Relaxed);
+        c.redundant_writes
+            .store(state.redundant_writes, Ordering::Relaxed);
+        c.reads.store(state.reads, Ordering::Relaxed);
+        c.words_current
+            .store(state.words_current, Ordering::Relaxed);
+        c.words_peak.store(state.words_peak, Ordering::Relaxed);
+        c.next_addr.store(state.next_addr, Ordering::Relaxed);
+        if c.address_tracked {
+            *self.wear_table() = state.wear.clone().unwrap_or_default();
+        }
+        // Restore taints the staleness clock: the counters above may rewind, but the
+        // generation only ever moves forward — an import is a state mutation, so any
+        // generation captured before it must now compare stale.
+        bump(&c.generation, 1);
     }
 }
 
@@ -306,6 +511,8 @@ mod tests {
         assert_eq!(t.words_peak(), 15);
         let c = t.alloc(1);
         assert_eq!(c.start, 15, "addresses are never reused");
+        t.dealloc(100);
+        assert_eq!(t.words_current(), 0, "dealloc saturates at zero");
     }
 
     #[test]
@@ -334,35 +541,8 @@ mod tests {
     }
 
     #[test]
-    fn lean_tracker_counts_epochs_and_state_changes() {
-        let t = StateTracker::lean();
-        assert_eq!(t.kind(), TrackerKind::Lean);
-        let r = t.alloc(2);
-        t.record_write(Some(r.word(0)), true); // init, before any epoch
-        for _ in 0..5 {
-            t.begin_epoch();
-            t.record_write(Some(r.word(0)), true);
-            t.record_write(Some(r.word(1)), true);
-        }
-        t.begin_epoch();
-        t.record_write(None, false);
-        let snap = t.snapshot();
-        assert_eq!(snap.epochs, 6);
-        assert_eq!(snap.state_changes, 5);
-        assert_eq!(snap.words_peak, 2);
-        assert_eq!(
-            snap.word_writes, 0,
-            "lean backend does not count word writes"
-        );
-    }
-
-    #[test]
     fn kind_round_trips_through_of_kind() {
-        for kind in [
-            TrackerKind::Full,
-            TrackerKind::FullAddressTracked,
-            TrackerKind::Lean,
-        ] {
+        for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
             assert_eq!(StateTracker::of_kind(kind).kind(), kind);
         }
     }

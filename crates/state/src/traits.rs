@@ -301,9 +301,7 @@ pub trait Snapshot: StreamAlgorithm {
     /// the durability face of the paper's thesis.
     ///
     /// The default implementation diffs the serialized state, which is correct for
-    /// every algorithm unconditionally; the tracker's dirty journal
-    /// ([`crate::StateTracker::dirty_since`]) is the observability layer that bounds
-    /// how much could have changed.
+    /// every algorithm unconditionally.
     fn checkpoint_delta(&self, since: &BaseRef) -> Result<Vec<u8>, SnapshotError> {
         crate::delta::encode_delta(
             since.bytes(),
@@ -541,7 +539,6 @@ mod tests {
         for kind in [
             crate::TrackerKind::Full,
             crate::TrackerKind::FullAddressTracked,
-            crate::TrackerKind::Lean,
         ] {
             let original = StateTracker::of_kind(kind);
             let range = original.alloc(4);

@@ -64,7 +64,6 @@ fn algorithms_with_equal_seeds_produce_identical_summaries() {
 #[test]
 fn sharded_runs_are_deterministic_with_derived_per_shard_seeds() {
     use few_state_changes::baselines::MisraGries;
-    use few_state_changes::state::StateTracker;
     use fsc_bench::sharded::{run_sharded, shard_seed};
 
     // The seed derivation is a pure function of (master, shard): equal inputs agree,
@@ -91,9 +90,7 @@ fn sharded_runs_are_deterministic_with_derived_per_shard_seeds() {
     // running it twice produces identical merged summaries and identical accounting.
     let stream = zipf_stream(1 << 11, 8_192, 1.2, 3);
     let run_once = || {
-        let outcome = run_sharded(&stream, 4, |_shard| {
-            MisraGries::with_tracker(&StateTracker::lean(), 32)
-        });
+        let outcome = run_sharded(&stream, 4, |_shard| MisraGries::new(32));
         let mut items = outcome.merged.tracked_items();
         items.sort_unstable();
         let estimates: Vec<u64> = items

@@ -161,10 +161,9 @@ proptest! {
 }
 
 /// The sharded driver moves per-shard summaries across scoped threads, so every
-/// summary — and the tracker substrate itself — must be `Send + Sync` regardless of
-/// the backend it was constructed with (the lean backend is the one sharded runs use).
+/// summary — and the tracker substrate itself — must be `Send + Sync`.
 #[test]
-fn lean_backend_algorithms_are_send_and_sync() {
+fn tracked_algorithms_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<StateTracker>();
     assert_send_sync::<few_state_changes::state::TrackedCell<u64>>();
@@ -180,12 +179,15 @@ fn lean_backend_algorithms_are_send_and_sync() {
     assert_send_sync::<few_state_changes::algorithms::FpEstimator>();
     assert_send_sync::<few_state_changes::algorithms::FewStateHeavyHitters>();
 
-    // And a lean-backed summary actually crosses a thread boundary.
-    let tracker = StateTracker::lean();
+    // And an exactly tracked summary actually crosses a thread boundary, with its
+    // accounting intact on the other side.
+    let tracker = StateTracker::new();
     let mut cm = CountMin::with_tracker(&tracker, 32, 2, 1);
     let handle = std::thread::spawn(move || {
         cm.process_stream(&[1, 2, 3, 1]);
         cm.estimate(1)
     });
     assert!(handle.join().unwrap() >= 2.0);
+    assert_eq!(tracker.epochs(), 4);
+    assert_eq!(tracker.state_changes(), 4);
 }

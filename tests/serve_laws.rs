@@ -312,7 +312,7 @@ proptest! {
     ) {
         let stream = zipf_stream(128, 300, 1.2, seed);
         let mut engine = Engine::new(config(2), |_| {
-            CountMin::with_tracker(&StateTracker::of_kind(TrackerKind::Lean), 32, 3, seed)
+            CountMin::new(32, 3, seed)
         });
 
         let mut last = engine.generation();

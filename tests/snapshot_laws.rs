@@ -27,7 +27,7 @@ use few_state_changes::counters::morris;
 use few_state_changes::engine::{Engine, EngineAlgorithm, EngineConfig, Routing};
 use few_state_changes::state::{
     EntropyEstimator, FrequencyEstimator, MomentEstimator, Query, Snapshot, SnapshotError,
-    StateTracker, StreamAlgorithm, SupportRecovery, TrackerKind,
+    SnapshotReader, SnapshotWriter, StateTracker, StreamAlgorithm, SupportRecovery, TrackerKind,
 };
 use few_state_changes::streamgen::zipf::zipf_stream;
 
@@ -494,4 +494,34 @@ fn corrupt_checkpoints_error_instead_of_panicking() {
     let mut widest = bytes.clone();
     widest[at..at + 8].copy_from_slice(&morris::MAX_REGISTER.to_le_bytes());
     assert!(SampleAndHold::restore(&widest).is_ok());
+
+    // The retired tracker-kind tag 2 (and any other unknown tag) is corrupt input,
+    // never a panic or a fallback to another kind — both where the tracker state
+    // stores it and where a serialized `Params` does.  The tracker state is the
+    // first payload field after the header, and `Params` follows it.
+    let sah = SampleAndHold::standalone(&params);
+    let bytes = sah.checkpoint();
+    let id = SnapshotReader::peek_algorithm(&bytes).unwrap();
+    let header = SnapshotWriter::new(&id).finish().len();
+    let mut w = SnapshotWriter::new(&id);
+    sah.tracker().export_state().write_to(&mut w);
+    let params_at = w.finish().len();
+    // Params: p, eps, delta, universe, stream_len_hint, reps, profile tag, seed.
+    let params_tracker_at = params_at + 6 * 8 + 1 + 8;
+    for at in [header, params_tracker_at] {
+        assert_eq!(
+            bytes[at],
+            TrackerKind::Full.tag(),
+            "byte {at} is a kind tag"
+        );
+        for tag in [2u8, 3, 0xFF] {
+            let mut retired = bytes.clone();
+            retired[at] = tag;
+            assert_eq!(
+                SampleAndHold::restore(&retired).err(),
+                Some(SnapshotError::Corrupt("tracker kind tag")),
+                "tag {tag} at byte {at}"
+            );
+        }
+    }
 }
