@@ -60,8 +60,8 @@ impl CountMin {
         }
     }
 
-    /// Selects the lane width of the batch kernel (`1`, `2`, `4`, or `8`; `1` is the
-    /// scalar fallback).  Every width produces bit-identical answers, `StateReport`s,
+    /// Selects the lane width of the batch kernel (`1` or `8`; `1` is the scalar
+    /// fallback).  Every width produces bit-identical answers, `StateReport`s,
     /// and wear tables — the batch-law lane sweep pins this — so the choice only
     /// affects throughput.  Not serialized: a restored sketch uses the default.
     ///
@@ -124,38 +124,9 @@ impl StreamAlgorithm for CountMin {
     /// equality at every lane width).
     fn process_batch(&mut self, items: &[u64]) {
         match self.lanes {
-            2 => self.process_batch_lanes::<2>(items),
-            4 => self.process_batch_lanes::<4>(items),
             8 => self.process_batch_lanes::<8>(items),
             _ => self.process_batch_lanes::<1>(items),
         }
-    }
-
-    /// Run-length kernel: a run of `count` identical updates hashes the item once,
-    /// adds `count` to each row counter, and charges `count` epochs' worth of
-    /// accounting (one state change, `depth` reads and `depth` changed writes per
-    /// epoch) in bulk — observably identical to `count` per-item updates.
-    fn process_run(&mut self, item: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let tracker = self.tracker.clone();
-        let first = tracker.begin_epochs(count);
-        let depth = self.table.rows();
-        let width = self.width;
-        let mut addrs = Vec::with_capacity(depth);
-        let mut cells = Vec::with_capacity(depth);
-        for (r, hash) in self.hashes.iter().enumerate() {
-            let bucket = hash.hash_bucket(item, width);
-            addrs.push(self.table.addr_of(r, bucket));
-            cells.push(r * width + bucket);
-        }
-        let data = self.table.as_mut_slice_untracked();
-        for &cell in &cells {
-            data[cell] += count;
-        }
-        tracker.record_reads(depth as u64 * count);
-        tracker.record_run_epochs(first, count, depth as u64, Some(&addrs));
     }
 }
 

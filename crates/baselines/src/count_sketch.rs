@@ -68,8 +68,8 @@ impl CountSketch {
         }
     }
 
-    /// Selects the lane width of the batch kernel (`1`, `2`, `4`, or `8`; `1` is the
-    /// scalar fallback).  Every width produces bit-identical answers, `StateReport`s,
+    /// Selects the lane width of the batch kernel (`1` or `8`; `1` is the scalar
+    /// fallback).  Every width produces bit-identical answers, `StateReport`s,
     /// and wear tables — the batch-law lane sweep pins this — so the choice only
     /// affects throughput.  Not serialized: a restored sketch uses the default.
     ///
@@ -135,8 +135,6 @@ impl StreamAlgorithm for CountSketch {
     /// batch-law tests pin report, wear, and answer equality at every lane width).
     fn process_batch(&mut self, items: &[u64]) {
         match self.lanes {
-            2 => self.process_batch_lanes::<2>(items),
-            4 => self.process_batch_lanes::<4>(items),
             8 => self.process_batch_lanes::<8>(items),
             _ => self.process_batch_lanes::<1>(items),
         }

@@ -99,24 +99,6 @@ impl StreamAlgorithm for ExactCounting {
     fn tracker(&self) -> &StateTracker {
         &self.tracker
     }
-
-    /// Run-length kernel: after the item's first occurrence its counter exists, so
-    /// the rest of the run collapses into the shared
-    /// `bulk_count_run` step.
-    fn process_run(&mut self, item: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let tracker = self.tracker.clone();
-        let first = tracker.begin_epochs(count);
-        let mut done = 0;
-        if self.counts.peek(&item).is_none() {
-            tracker.enter_epoch(first);
-            self.process_item(item);
-            done = 1;
-        }
-        crate::bulk_count_run(&tracker, &mut self.counts, item, first + done, count - done);
-    }
 }
 
 impl FrequencyEstimator for ExactCounting {

@@ -105,32 +105,3 @@ pub(crate) fn read_counter_table(
     }
     Ok(())
 }
-
-/// The shared bulk step of the run-length (`process_run`) kernels of the
-/// count-increment summaries (ExactCounting, Misra-Gries, SpaceSaving): folds
-/// `remaining` occurrences of an `item` that is **already present** in `counters`
-/// into one stored `+remaining`, and charges exactly what the per-item path charges
-/// per occurrence — 2 reads (`contains_key` + the `modify` lookup) and 1 changed
-/// anonymous write, inside its own epoch (`record_run_epochs`).  The epochs
-/// `first_epoch..first_epoch + remaining` must be reserved and not yet entered.
-///
-/// Per-algorithm `process_run` overrides keep only their structure-specific
-/// first-occurrence handling (insert, evict-and-inherit, or the Misra-Gries
-/// decrement loop) and delegate the collapsible remainder here, so the accounting
-/// constants live in one place.  The batch-law tests pin the equivalence.
-pub(crate) fn bulk_count_run(
-    tracker: &fsc_state::StateTracker,
-    counters: &mut fsc_counters::fastmap::FastTrackedMap<u64, u64>,
-    item: u64,
-    first_epoch: u64,
-    remaining: u64,
-) {
-    if remaining == 0 {
-        return;
-    }
-    *counters
-        .get_mut_untracked(&item)
-        .expect("bulk_count_run requires the item to hold a counter") += remaining;
-    tracker.record_reads(2 * remaining);
-    tracker.record_run_epochs(first_epoch, remaining, 1, None);
-}

@@ -77,32 +77,6 @@ impl StreamAlgorithm for MisraGries {
     fn tracker(&self) -> &StateTracker {
         &self.tracker
     }
-
-    /// Run-length kernel: once the item holds a counter, increments can never evict
-    /// it, so the rest of the run collapses into the shared
-    /// `bulk_count_run` step.  While the item is absent the
-    /// per-item path runs unchanged — an absent item's update may take the
-    /// decrement-all branch, whose effect on the whole table cannot be collapsed.
-    fn process_run(&mut self, item: u64, count: u64) {
-        let tracker = self.tracker.clone();
-        let first = tracker.begin_epochs(count);
-        let mut done = 0;
-        while done < count {
-            if self.counters.peek(&item).is_some() {
-                crate::bulk_count_run(
-                    &tracker,
-                    &mut self.counters,
-                    item,
-                    first + done,
-                    count - done,
-                );
-                return;
-            }
-            tracker.enter_epoch(first + done);
-            self.process_item(item);
-            done += 1;
-        }
-    }
 }
 
 impl Mergeable for MisraGries {

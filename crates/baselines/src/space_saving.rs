@@ -81,31 +81,6 @@ impl StreamAlgorithm for SpaceSaving {
     fn tracker(&self) -> &StateTracker {
         &self.tracker
     }
-
-    /// Run-length kernel: after its first occurrence the item is monitored (it is
-    /// either inserted or inherits the evicted minimum), and increments never evict
-    /// the incremented item, so the rest of the run collapses into the shared
-    /// `bulk_count_run` step.
-    fn process_run(&mut self, item: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let tracker = self.tracker.clone();
-        let first = tracker.begin_epochs(count);
-        let mut done = 0;
-        if self.counters.peek(&item).is_none() {
-            tracker.enter_epoch(first);
-            self.process_item(item);
-            done = 1;
-        }
-        crate::bulk_count_run(
-            &tracker,
-            &mut self.counters,
-            item,
-            first + done,
-            count - done,
-        );
-    }
 }
 
 impl Mergeable for SpaceSaving {

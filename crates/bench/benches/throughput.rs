@@ -222,30 +222,6 @@ fn bench_batch_kernels(c: &mut Criterion) {
         });
     }
 
-    // Run-length pre-pass on a bursty (sorted) stream: the opt-in fast path for
-    // count-increment algorithms, vs the same stream item by item.
-    let sorted = {
-        let mut s = stream.clone();
-        s.sort_unstable();
-        s
-    };
-    let runs = fsc_streamgen::run_length_encode(&sorted);
-    group.bench_function(BenchmarkId::new("CountMin", "rle_item"), |b| {
-        b.iter(|| {
-            let mut alg = CountMin::new(1 << 10, 4, 1);
-            for &x in &sorted {
-                alg.update(x);
-            }
-            alg.report().state_changes
-        })
-    });
-    group.bench_function(BenchmarkId::new("CountMin", "rle_runs"), |b| {
-        b.iter(|| {
-            let mut alg = CountMin::new(1 << 10, 4, 1);
-            alg.process_runs(&runs);
-            alg.report().state_changes
-        })
-    });
     group.finish();
 }
 

@@ -6,7 +6,7 @@
 //! ... fig_throughput -- --mode batch|item|both                         # update path(s)
 //! ... fig_throughput -- --label "PR 4 batch kernels"                   # trajectory label
 //! ... fig_throughput -- --baseline-countmin 9205209                    # record speedup
-//! ... fig_throughput -- --lanes 1|2|4|8                                # kernel lane width
+//! ... fig_throughput -- --lanes 1|8                                    # kernel lane width
 //! ... fig_throughput -- --regression-gate                              # CI perf gate
 //! ... fig_throughput -- --out /tmp/bench.json                          # custom path
 //! ```
@@ -27,7 +27,7 @@
 //! fails instead of rewriting history.
 //!
 //! `--lanes W` forces the lane-packed sketch kernels (CountMin/CountSketch/AMS) to
-//! width `W ∈ {1, 2, 4, 8}`; `--lanes 1` is the scalar fallback, so CI exercising
+//! width `W ∈ {1, 8}`; `--lanes 1` is the scalar fallback, so CI exercising
 //! both `--lanes 1` and the default proves the divergence check across widths.
 //!
 //! `--regression-gate` compares this run's CountMin headline against the
@@ -136,7 +136,7 @@ fn main() {
             .ok()
             .filter(|w| fsc_counters::lanes::is_supported_width(*w))
             .unwrap_or_else(|| {
-                eprintln!("error: --lanes expects one of 1|2|4|8, got {v:?}");
+                eprintln!("error: --lanes expects one of 1|8, got {v:?}");
                 std::process::exit(2);
             })
     });

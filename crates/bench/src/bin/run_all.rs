@@ -5,16 +5,16 @@
 //! `... run_all -- --quick --threads 4`                        — parallel experiment cells
 //!
 //! `--threads N` runs independent experiment cells on up to `N` worker threads (via
-//! [`fsc_bench::sharded::parallel_map`]).  Every experiment is a deterministic function
-//! of its seeds, so the output is identical at every thread count; only the wall-clock
-//! changes.  Tables stream out progressively in DESIGN.md order: each table prints as
-//! soon as it and every earlier table have finished.
+//! [`fsc_bench::parallel_map`]); a missing, non-numeric or zero `N` exits with
+//! status 2.  Every experiment is a deterministic function of its seeds, so the
+//! output is identical at every thread count; only the wall-clock changes.  Tables
+//! stream out progressively in DESIGN.md order: each table prints as soon as it and
+//! every earlier table have finished.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use fsc_bench::sharded::parallel_map;
-use fsc_bench::{experiments, threads_from_args, Scale};
+use fsc_bench::{experiments, parallel_map, threads_from_args, Scale};
 
 /// One experiment cell: deferred work producing its rendered output.
 type Cell = Box<dyn FnOnce() -> String + Send>;

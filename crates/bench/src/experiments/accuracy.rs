@@ -8,7 +8,7 @@ use fsc_state::{MomentEstimator, StreamAlgorithm};
 use fsc_streamgen::zipf::zipf_stream;
 use fsc_streamgen::FrequencyVector;
 
-use crate::sharded::parallel_map;
+use crate::parallel_map;
 use crate::table::{f, Table};
 use crate::Scale;
 

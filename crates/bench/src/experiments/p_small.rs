@@ -41,7 +41,7 @@ pub fn run_with_threads(scale: Scale, threads: usize) -> (Table, Vec<Row>) {
     // Each p-cell is an independent deterministic computation, so the sweep spreads
     // over its own worker threads when asked (these are in addition to any workers the
     // caller holds — `run_all` accepts the modest oversubscription).
-    let rows = crate::sharded::parallel_map(
+    let rows = crate::parallel_map(
         ps.iter().copied().enumerate().collect(),
         threads,
         |_, (idx, p)| {

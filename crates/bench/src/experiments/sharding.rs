@@ -1,7 +1,7 @@
 //! Experiment F11 — sharded parallel execution of mergeable summaries.
 //!
-//! Splits one Zipfian stream across `S` shards, runs each shard's summary on its own
-//! thread over its own (`Send + Sync`) tracker, merges the shard
+//! Ingests one Zipfian stream into an [`Engine`] of `S` shards (round-robin routing;
+//! the shards drain on worker threads when the host has the cores), merges the shard
 //! summaries, and compares the merged answers and total accounting against a serial
 //! run of the same summary:
 //!
@@ -9,15 +9,18 @@
 //! * counter summaries (Misra-Gries, SpaceSaving) merge within their additive bounds;
 //! * total epochs across shards always equal the stream length, and the state-change
 //!   counts add across shards (state frugality survives sharding).
+//!
+//! The first and third points are F11's self-check ([`Row::violation`]):
+//! `fig_sharding` exits 1 when either fails.
 
 use std::time::Instant;
 
 use fsc_baselines::{CountMin, CountSketch, MisraGries, SpaceSaving};
-use fsc_state::{FrequencyEstimator, Mergeable, StreamAlgorithm};
+use fsc_engine::{Engine, EngineAlgorithm, EngineConfig};
+use fsc_state::FrequencyEstimator;
 use fsc_streamgen::zipf::zipf_stream;
 use fsc_streamgen::FrequencyVector;
 
-use crate::sharded::run_sharded;
 use crate::table::{f, Table};
 use crate::Scale;
 
@@ -29,19 +32,45 @@ pub const SHARDS: usize = 4;
 pub struct Row {
     /// Summary name.
     pub name: String,
+    /// Whether the summary is a linear sketch, whose sharded merge must be exact.
+    pub linear: bool,
+    /// Stream length.
+    pub items: u64,
     /// Serial state changes.
     pub serial_state_changes: u64,
     /// Sum of per-shard state changes (excluding the merge epoch).
     pub sharded_state_changes: u64,
+    /// Sum of per-shard epochs ([`Engine::report`]); equals `items` when every item
+    /// reached exactly one shard.
+    pub sharded_epochs: u64,
     /// Largest |merged − serial| estimate difference over the query items.
     pub max_estimate_diff: f64,
     /// Serial wall-clock for the stream pass, in milliseconds.
     pub serial_ms: f64,
-    /// Sharded wall-clock for the parallel pass plus merge, in milliseconds.
+    /// Sharded wall-clock for the engine ingest plus merge, in milliseconds.
     pub sharded_ms: f64,
 }
 
 impl Row {
+    /// What this row breaks of F11's self-check, if anything: a linear sketch whose
+    /// merged estimates differ from the serial run, or shard epochs that do not add
+    /// up to the stream length.
+    pub fn violation(&self) -> Option<String> {
+        if self.linear && self.max_estimate_diff != 0.0 {
+            return Some(format!(
+                "{}: merged estimate differs from the serial run by {}",
+                self.name, self.max_estimate_diff
+            ));
+        }
+        if self.sharded_epochs != self.items {
+            return Some(format!(
+                "{}: shards report {} epochs for {} items",
+                self.name, self.sharded_epochs, self.items
+            ));
+        }
+        None
+    }
+
     /// Wall-clock speedup of the sharded pass over the serial pass.
     pub fn speedup(&self) -> f64 {
         if self.sharded_ms > 0.0 {
@@ -52,35 +81,47 @@ impl Row {
     }
 }
 
-fn compare<A, FSerial, FShard>(
+fn compare<A>(
     name: &str,
+    linear: bool,
     stream: &[u64],
     candidates: &[u64],
-    make_serial: FSerial,
-    make_shard: FShard,
+    make: impl Fn() -> A,
 ) -> Row
 where
-    A: StreamAlgorithm + FrequencyEstimator + Mergeable + Send,
-    FSerial: Fn() -> A,
-    FShard: Fn(usize) -> A + Sync,
+    A: EngineAlgorithm + FrequencyEstimator,
 {
     let start = Instant::now();
-    let mut serial = make_serial();
+    let mut serial = make();
     serial.process_batch(stream);
     let serial_ms = start.elapsed().as_secs_f64() * 1e3;
 
+    // Every shard is built by the same constructor: linear sketches need identical
+    // hash functions for the merge to be exact.
     let start = Instant::now();
-    let outcome = run_sharded(stream, SHARDS, make_shard);
+    let config = EngineConfig {
+        shards: SHARDS,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::new(config, |_| make());
+    engine.ingest(stream);
+    let merged = engine
+        .merged_summary()
+        .expect("shards built by one constructor merge");
     let sharded_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let max_estimate_diff = candidates
         .iter()
-        .map(|&c| (outcome.merged.estimate(c) - serial.estimate(c)).abs())
+        .map(|&c| (merged.estimate(c) - serial.estimate(c)).abs())
         .fold(0.0, f64::max);
+    let report = engine.report();
     Row {
         name: name.to_string(),
+        linear,
+        items: stream.len() as u64,
         serial_state_changes: serial.report().state_changes,
-        sharded_state_changes: outcome.combined_report.state_changes,
+        sharded_state_changes: report.state_changes,
+        sharded_epochs: report.epochs,
         max_estimate_diff,
         serial_ms,
         sharded_ms,
@@ -100,36 +141,18 @@ pub fn run(scale: Scale) -> (Table, Vec<Row>) {
     // Serial baseline and shards both run on the exact tracker, so the wall-clock
     // columns compare equal accounting work and isolate sharding itself.
     let rows = vec![
-        compare(
-            "CountMin",
-            &stream,
-            &candidates,
-            || CountMin::new(width, depth, sketch_seed),
-            // Linear sketches shard with the *same* seed (identical hash functions are
-            // what make the merge exact).
-            |_| CountMin::new(width, depth, sketch_seed),
-        ),
-        compare(
-            "CountSketch",
-            &stream,
-            &candidates,
-            || CountSketch::new(width, depth + 1, sketch_seed),
-            |_| CountSketch::new(width, depth + 1, sketch_seed),
-        ),
-        compare(
-            "MisraGries",
-            &stream,
-            &candidates,
-            || MisraGries::new(k),
-            |_| MisraGries::new(k),
-        ),
-        compare(
-            "SpaceSaving",
-            &stream,
-            &candidates,
-            || SpaceSaving::new(k),
-            |_| SpaceSaving::new(k),
-        ),
+        compare("CountMin", true, &stream, &candidates, || {
+            CountMin::new(width, depth, sketch_seed)
+        }),
+        compare("CountSketch", true, &stream, &candidates, || {
+            CountSketch::new(width, depth + 1, sketch_seed)
+        }),
+        compare("MisraGries", false, &stream, &candidates, || {
+            MisraGries::new(k)
+        }),
+        compare("SpaceSaving", false, &stream, &candidates, || {
+            SpaceSaving::new(k)
+        }),
     ];
 
     let mut table = Table::new(
@@ -169,7 +192,9 @@ mod tests {
         let (table, rows) = run(Scale::Quick);
         assert_eq!(rows.len(), 4);
         assert!(!table.is_empty());
+        let m = Scale::Quick.pick(8, 16) * (1 << 12) as usize;
         for r in &rows[..2] {
+            assert!(r.linear);
             assert_eq!(
                 r.max_estimate_diff, 0.0,
                 "{} is a linear sketch: sharded merge must be exact",
@@ -179,7 +204,6 @@ mod tests {
         // Counter summaries: the merged estimate may differ from the serial run, but
         // both carry the same additive guarantee; at quick scale the top items should
         // stay within the m/(k+1)-style bound of each other (twice the one-sided bound).
-        let m = Scale::Quick.pick(8, 16) * (1 << 12) as usize;
         for r in &rows[2..] {
             assert!(
                 r.max_estimate_diff <= 2.0 * m as f64 / 257.0,
@@ -193,6 +217,8 @@ mod tests {
                 r.sharded_state_changes > 0 && r.serial_state_changes > 0,
                 "accounting must survive sharding"
             );
+            assert_eq!(r.sharded_epochs, m as u64, "{}: one epoch per item", r.name);
+            assert_eq!(r.violation(), None);
         }
     }
 }

@@ -16,8 +16,10 @@
 
 pub mod experiments;
 pub mod registry;
-pub mod sharded;
 pub mod table;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Problem-size profile shared by all experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,19 +49,85 @@ impl Scale {
     }
 }
 
-/// Parses `--threads N` from the process arguments (defaults to 1 — serial).
+/// Parses `--threads N` from the process arguments (defaults to 1 — serial), and
+/// exits with status 2 and a message when the value is missing, not a number, or 0.
 ///
 /// Used by `run_all` to run independent experiment cells concurrently via
-/// [`sharded::parallel_map`]; each experiment stays internally deterministic, so the
-/// printed tables are identical at every thread count.
+/// [`parallel_map`]; each experiment stays internally deterministic, so the printed
+/// tables are identical at every thread count.
 pub fn threads_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
+    parse_threads(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The pure parser behind [`threads_from_args`]: `Ok(1)` without `--threads`, the
+/// value when it is a positive integer, and an error naming the bad value otherwise.
+pub fn parse_threads(args: &[String]) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == "--threads") else {
+        return Ok(1);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or("--threads expects a positive integer")?;
+    value
+        .parse()
+        .ok()
         .filter(|&n| n >= 1)
-        .unwrap_or(1)
+        .ok_or_else(|| format!("--threads expects a positive integer, got {value:?}"))
+}
+
+/// Applies `f` to every item on up to `threads` worker threads, preserving input order
+/// in the output.  Work is claimed dynamically (an atomic cursor over the item list),
+/// so heterogeneous item durations — experiment cells — still balance.
+///
+/// With `threads <= 1` this runs inline on the calling thread with no thread or lock
+/// overhead, so callers can pass the user's `--threads` value straight through.
+pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    let n = items.len();
+    let threads = threads.clamp(1, n.max(1));
+    if threads <= 1 {
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let item = slots[i]
+                    .lock()
+                    .unwrap()
+                    .take()
+                    .expect("each slot is claimed exactly once");
+                let result = f(i, item);
+                *results[i].lock().unwrap() = Some(result);
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .unwrap()
+                .expect("worker stored a result for every claimed slot")
+        })
+        .collect()
 }
 
 /// Least-squares slope of `ln(y)` against `ln(x)` — used to verify scaling exponents
@@ -95,6 +163,30 @@ mod tests {
             .collect();
         assert!((log_log_slope(&pts) - 0.5).abs() < 1e-9);
         assert_eq!(log_log_slope(&[(1.0, 1.0)]), 0.0);
+    }
+
+    #[test]
+    fn parallel_map_preserves_order_and_runs_everything() {
+        let squares = parallel_map((0..100u64).collect(), 8, |_, x| x * x);
+        assert_eq!(squares, (0..100u64).map(|x| x * x).collect::<Vec<_>>());
+        let inline = parallel_map(vec![1, 2, 3], 1, |i, x| (i, x));
+        assert_eq!(inline, vec![(0, 1), (1, 2), (2, 3)]);
+        assert!(parallel_map(Vec::<u64>::new(), 4, |_, x| x).is_empty());
+    }
+
+    #[test]
+    fn threads_flag_accepts_a_positive_count_and_rejects_the_rest() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_threads(&args(&["run_all", "--quick"])), Ok(1));
+        assert_eq!(parse_threads(&args(&["run_all", "--threads", "4"])), Ok(4));
+        for bad in [
+            &["run_all", "--threads", "0"][..],
+            &["run_all", "--threads", "x"],
+            &["run_all", "--quick", "--threads"],
+        ] {
+            let err = parse_threads(&args(bad)).unwrap_err();
+            assert!(err.contains("--threads"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! budget on *reads*: tabulation table lookups, Mersenne-prime multiplies, and the
 //! probe loads into the counter matrix.  All of those are branch-free and mutually
 //! independent across items, so the classic SIMD trick applies even without
-//! intrinsics: pack `W ∈ {2, 4, 8}` items into plain `[u64; W]` arrays and evaluate
+//! intrinsics: pack `W = 8` items into plain `[u64; W]` arrays and evaluate
 //! every step lane-by-lane in a fixed-width inner loop.  The compiler unrolls the
 //! `W`-sized loops completely (the width is a const generic), which turns each
 //! serial dependency chain into `W` independent chains that pipeline through the
@@ -24,7 +24,7 @@
 //!
 //! # Choosing a width
 //!
-//! Widths 1 (scalar fallback), 2, 4, and 8 are supported ([`LANE_WIDTHS`]); kernels
+//! Widths 1 (scalar fallback) and 8 are supported ([`LANE_WIDTHS`]); kernels
 //! select one at construction and keep it for life.  [`DEFAULT_LANE_WIDTH`] is the
 //! measured sweet spot on the recorded benchmark host: wide enough to saturate the
 //! load ports during tabulation gathers, narrow enough that the per-row working set
@@ -36,7 +36,7 @@ use crate::hashing::{
 };
 
 /// The lane widths every lane-packed kernel supports (1 is the scalar fallback).
-pub const LANE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+pub const LANE_WIDTHS: [usize; 2] = [1, 8];
 
 /// Default width for kernels constructed without an explicit choice (see the module
 /// docs; `fig_throughput --lanes` forces other widths for A/B runs).
@@ -187,7 +187,7 @@ mod tests {
     }
 
     /// Runs `check` on every supported width over sliding windows of the probe set,
-    /// so each helper is pinned at W = 1, 2, 4, and 8 on identical inputs.
+    /// so each helper is pinned at W = 1 and 8 on identical inputs.
     fn for_each_width(seed: u64, mut check: impl FnMut(&[u64])) {
         let items = probe_items(seed);
         for &w in &LANE_WIDTHS {
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn supported_widths_are_exactly_the_advertised_set() {
         for w in 0..=16 {
-            assert_eq!(is_supported_width(w), matches!(w, 1 | 2 | 4 | 8), "{w}");
+            assert_eq!(is_supported_width(w), matches!(w, 1 | 8), "{w}");
         }
         assert!(is_supported_width(DEFAULT_LANE_WIDTH));
     }
@@ -232,8 +232,6 @@ mod tests {
             let fw = FourWise::from_poly(&PolyHash::from_seed(4, seed ^ 0xA5));
             for_each_width(seed, |window| match window.len() {
                 1 => check_window::<1>(window, &poly2, &fw),
-                2 => check_window::<2>(window, &poly2, &fw),
-                4 => check_window::<4>(window, &poly2, &fw),
                 _ => check_window::<8>(window, &poly2, &fw),
             });
         }
@@ -269,8 +267,6 @@ mod tests {
             };
             match window.len() {
                 1 => check(&tabulation_hashes::<1>(&hash, window.try_into().unwrap())),
-                2 => check(&tabulation_hashes::<2>(&hash, window.try_into().unwrap())),
-                4 => check(&tabulation_hashes::<4>(&hash, window.try_into().unwrap())),
                 _ => check(&tabulation_hashes::<8>(&hash, window.try_into().unwrap())),
             }
         });

@@ -704,7 +704,7 @@ impl<A: EngineAlgorithm> DynEngine for Engine<A> {
 mod tests {
     use super::*;
     use fsc_baselines::{CountMin, MisraGries};
-    use fsc_state::StateTracker;
+    use fsc_state::{FrequencyEstimator, StateTracker};
     use fsc_streamgen::zipf::zipf_stream;
 
     fn count_min_engine(config: EngineConfig) -> Engine<CountMin> {
@@ -741,6 +741,32 @@ mod tests {
             }
             // Epochs are additive over shards: together they saw the whole stream.
             assert_eq!(sharded.report().epochs, stream.len() as u64);
+        }
+    }
+
+    #[test]
+    fn one_shard_engine_degenerates_to_a_serial_run() {
+        let stream = zipf_stream(256, 2_000, 1.0, 5);
+        let mut engine = Engine::new(
+            EngineConfig {
+                shards: 1,
+                ..EngineConfig::default()
+            },
+            |_| MisraGries::new(16),
+        );
+        engine.ingest(&stream);
+        let mut serial = MisraGries::new(16);
+        serial.process_stream(&stream);
+        // Snapshot before querying: estimates charge reads to the serial tracker.
+        assert_eq!(engine.report(), serial.report());
+        let merged = engine.merged_summary().unwrap();
+        let mut items = serial.tracked_items();
+        items.sort_unstable();
+        let mut merged_items = merged.tracked_items();
+        merged_items.sort_unstable();
+        assert_eq!(merged_items, items);
+        for &item in &items {
+            assert_eq!(merged.estimate(item), serial.estimate(item));
         }
     }
 

@@ -39,9 +39,8 @@ pub enum Workload {
     },
     /// Uniform items over the universe — the heavy-hitter-free stress case.
     Uniform,
-    /// Zipf(θ) traffic sorted ascending — maximal run structure (the favourable
-    /// extreme for run-length kernels, the adversarial one for eviction policies
-    /// that key on recency).
+    /// Zipf(θ) traffic sorted ascending — maximal run structure (the adversarial
+    /// extreme for eviction policies that key on recency).
     Sorted {
         /// Skew exponent of the underlying draw.
         theta: f64,

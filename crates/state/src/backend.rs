@@ -203,8 +203,8 @@ mod tests {
     const SCATTER: [usize; 6] = [7, 0, 4, 7, 1, 6];
 
     /// Per-item stimulus whose bulk equivalents the batch kernels use: a contiguous
-    /// write run, a scattered write set, a run of identical epochs, and a span of
-    /// scatter epochs.  This loop is the reference the bulk calls must match.
+    /// write run and a span of scatter epochs.  This loop is the reference the bulk
+    /// calls must match.
     fn exercise_bulk_per_item(t: &StateTracker) -> StateReport {
         let r = t.alloc(8);
         // Epoch 1: a contiguous run of 4 changed writes (the AMS kernel shape).
@@ -212,21 +212,7 @@ mod tests {
         for i in 0..4 {
             t.record_write(Some(r.word(i)), true);
         }
-        // Epoch 2: scattered changed writes (the CountMin kernel shape).
-        t.begin_epoch();
-        for a in [6usize, 1, 3] {
-            t.record_write(Some(r.word(a)), true);
-        }
-        // Epochs 3..8: a run of 5 identical epochs with 2 writes each (the
-        // run-length kernel shape), followed by one write-free epoch.
-        let first = t.begin_epochs(6);
-        for id in first..first + 5 {
-            t.enter_epoch(id);
-            t.record_write(Some(r.word(2)), true);
-            t.record_write(Some(r.word(5)), true);
-        }
-        t.enter_epoch(first + 5);
-        // Epochs 9..11: one epoch per item of a lane-packed scatter block.
+        // Epochs 2..4: one epoch per item of a lane-packed scatter block.
         let first = t.begin_epochs(3);
         for (i, item) in SCATTER.chunks_exact(2).enumerate() {
             t.enter_epoch(first + i as u64);
@@ -243,11 +229,6 @@ mod tests {
         let r = t.alloc(8);
         t.begin_epoch();
         t.record_changed_run(Some(r.word(0)), 4);
-        t.begin_epoch();
-        t.record_changed_at(&[r.word(6), r.word(1), r.word(3)]);
-        let first = t.begin_epochs(6);
-        t.record_run_epochs(first, 5, 2, Some(&[r.word(2), r.word(5)]));
-        t.record_run_epochs(first + 5, 1, 0, None);
         let first = t.begin_epochs(3);
         let addrs: Vec<usize> = SCATTER.iter().map(|&a| r.word(a)).collect();
         t.record_scatter_epochs(first, 2, &addrs);
@@ -276,8 +257,8 @@ mod tests {
         let bulk = StateTracker::with_address_tracking();
         let _ = exercise_bulk(&bulk);
         let wear = bulk.address_writes().unwrap();
-        // Word 2: one write from the epoch-1 contiguous run plus 5 from the epoch run.
-        assert_eq!(wear[2], 6, "run wear accumulates");
+        // Word 1: one write from the epoch-1 contiguous run plus one from the scatter.
+        assert_eq!(wear[1], 2, "run and scatter wear accumulate");
         // Word 7: hit by two items of the scatter block.
         assert_eq!(wear[7], 2, "scatter wear counts every item");
     }
@@ -287,9 +268,7 @@ mod tests {
         let t = StateTracker::new();
         t.begin_epoch();
         t.record_changed_run(Some(0), 0);
-        t.record_changed_at(&[]);
         let first = t.begin_epochs(0);
-        t.record_run_epochs(first, 0, 3, None);
         t.record_scatter_epochs(first, 2, &[]);
         let snap = t.snapshot();
         assert_eq!(snap.state_changes, 0);
@@ -350,7 +329,8 @@ mod tests {
         );
         t.record_changed_run(Some(r.word(0)), 3);
         assert_eq!(t.state_change_generation(), 5);
-        t.record_changed_at(&[r.word(0), r.word(2)]);
+        let first = t.begin_epochs(1);
+        t.record_scatter_epochs(first, 2, &[r.word(0), r.word(2)]);
         assert_eq!(t.state_change_generation(), 7);
     }
 

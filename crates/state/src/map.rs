@@ -145,17 +145,6 @@ impl<K: Eq + Hash + Clone, V: PartialEq + Clone, S: BuildHasher> TrackedMap<K, V
         self.data.get(key)
     }
 
-    /// Mutable lookup without any accounting — the data path of run-length batch
-    /// kernels, which fold a run of identical updates into one stored mutation and
-    /// charge the tracker in bulk.  The caller **must** charge the exact equivalent of
-    /// the per-item [`TrackedMap::contains_key`]/[`TrackedMap::modify`] calls it skips
-    /// (reads via [`StateTracker::record_reads`], epochs and writes via
-    /// [`StateTracker::record_run_epochs`]); the batch-law tests pin that equivalence.
-    #[inline]
-    pub fn get_mut_untracked(&mut self, key: &K) -> Option<&mut V> {
-        self.data.get_mut(key)
-    }
-
     /// Inserts `key → value` without any accounting (no allocation charge, no write) —
     /// the restore path of checkpointing, which rebuilds a freshly constructed map's
     /// entries and then replaces every tracker counter via

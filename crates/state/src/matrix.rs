@@ -137,8 +137,8 @@ impl<T: PartialEq + Clone> TrackedMatrix<T> {
     /// Mutations through this slice bypass per-cell accounting entirely: the caller
     /// **must** charge the tracker with the exact equivalent of the per-cell calls it
     /// skipped ([`StateTracker::record_reads`] plus
-    /// [`StateTracker::record_changed_run`]/[`StateTracker::record_changed_at`] with
-    /// the addresses from [`TrackedMatrix::addr_of`]), or recorded experiments
+    /// [`StateTracker::record_changed_run`]/[`StateTracker::record_scatter_epochs`]
+    /// with the addresses from [`TrackedMatrix::addr_of`]), or recorded experiments
     /// diverge from the per-item path.  The batch-law tests pin that equivalence for
     /// every kernel in the repository.
     #[inline(always)]
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn addr_of_matches_the_addresses_charged_by_per_cell_writes() {
         // A kernel that mutates via the untracked slice and charges the tracker with
-        // addr_of-addressed bulk writes must leave the same wear table as per-cell
+        // addr_of-addressed writes must leave the same wear table as per-cell
         // update() calls.
         let t_cell = StateTracker::with_address_tracking();
         let mut cell = TrackedMatrix::filled(&t_cell, 2, 3, 0u64);
@@ -240,7 +240,7 @@ mod tests {
             t_bulk.record_reads(1);
             let addr = bulk.addr_of(r, c);
             bulk.as_mut_slice_untracked()[r * 3 + c] += 1;
-            t_bulk.record_changed_at(&[addr]);
+            t_bulk.record_write(Some(addr), true);
         }
         assert_eq!(t_bulk.address_writes(), t_cell.address_writes());
         assert_eq!(t_bulk.snapshot(), t_cell.snapshot());

@@ -279,49 +279,11 @@ impl StateTracker {
         }
     }
 
-    /// Records one changed write at each of `addrs`, all within the current epoch —
-    /// the bulk equivalent of per-address [`StateTracker::record_write`] calls with
-    /// `changed = true`.  Used by batch kernels with scattered per-item writes (e.g.
-    /// one counter per CountMin row).
-    #[inline]
-    pub fn record_changed_at(&self, addrs: &[usize]) {
-        if addrs.is_empty() {
-            return;
-        }
-        self.count_changed(addrs.len() as u64);
-        self.add_wear(addrs, 1);
-    }
-
-    /// Activates each reserved epoch `first..first + n` in turn and records, within
-    /// each, `writes` changed word writes — at the addresses `addrs` when provided
-    /// (then `writes` must equal `addrs.len()`), anonymously otherwise.  This is the
-    /// bulk equivalent of the per-item loop
-    /// `for id in first..first + n { enter_epoch(id); for each write: record_write(_, true) }`
-    /// and is what lets a run-length kernel process a run of identical updates with
-    /// O(1) accounting calls.  The caller must have reserved the span via
-    /// [`StateTracker::begin_epochs`] and must not have entered any of its epochs.
-    #[inline]
-    pub fn record_run_epochs(&self, first: u64, n: u64, writes: u64, addrs: Option<&[usize]>) {
-        debug_assert!(addrs.is_none_or(|a| a.len() as u64 == writes));
-        if n == 0 {
-            return;
-        }
-        if writes == 0 {
-            // Entering epochs without writes changes no counter except the clock.
-            self.counters.epoch.enter(first + n - 1);
-            return;
-        }
-        self.count_claimed_run(first, n, n * writes);
-        if let Some(addrs) = addrs {
-            self.add_wear(addrs, n);
-        }
-    }
-
     /// Activates each reserved epoch `first + i` for `i in 0..addrs.len() / writes`
     /// in turn and records, within it, one changed write at each address of
     /// `addrs[i * writes..(i + 1) * writes]` — the bulk equivalent of the per-item
     /// scatter-accounting loop
-    /// `for each item: enter_epoch(first + i); record_changed_at(item addrs)`
+    /// `for each item: enter_epoch(first + i); for each addr: record_write(Some(addr), true)`
     /// used by the lane-packed batch kernels (`writes` probes per item, every probe
     /// a changed write, as in CountMin/CountSketch).  `addrs.len()` must be a
     /// multiple of `writes`, and the caller must have reserved the span via

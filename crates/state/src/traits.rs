@@ -46,7 +46,7 @@ pub trait StreamAlgorithm {
     /// specialized kernels that hoist per-item work out of the loop (hash folding,
     /// sign evaluation, level cutoffs, read-charge accumulation) and replace per-cell
     /// tracker calls with the bulk accounting API
-    /// ([`StateTracker::record_changed_run`]/[`StateTracker::record_changed_at`]).
+    /// ([`StateTracker::record_changed_run`]/[`StateTracker::record_scatter_epochs`]).
     /// Every override is required to be **observably identical** to this default —
     /// same answers, same [`StateReport`], same per-address wear — which the
     /// `batch_laws` property tests assert for every implementation in the repository
@@ -57,35 +57,6 @@ pub trait StreamAlgorithm {
         for (i, &item) in items.iter().enumerate() {
             tracker.enter_epoch(first + i as u64);
             self.process_item(item);
-        }
-    }
-
-    /// Processes a run of `count` consecutive occurrences of `item`, one accounting
-    /// epoch per occurrence.
-    ///
-    /// Semantically identical to `count` calls of [`StreamAlgorithm::update`] with the
-    /// same item.  Algorithms whose update is a plain count increment (exact counting,
-    /// Misra-Gries, SpaceSaving, CountMin) override this with run-length kernels that
-    /// perform the stored mutation once (`+count`) and charge the accounting in bulk
-    /// via [`StateTracker::record_run_epochs`]; the observable state sequence is
-    /// unchanged because every occurrence still gets its own epoch, state-change
-    /// claim, and word writes.  Pair with `fsc_streamgen::run_length_encode` (or any
-    /// `(item, run)` source) through [`StreamAlgorithm::process_runs`].
-    fn process_run(&mut self, item: u64, count: u64) {
-        let tracker = self.tracker().clone();
-        let first = tracker.begin_epochs(count);
-        for i in 0..count {
-            tracker.enter_epoch(first + i);
-            self.process_item(item);
-        }
-    }
-
-    /// Processes a run-length encoded stream: each `(item, count)` pair stands for
-    /// `count` consecutive occurrences of `item` (opt-in fast path for skewed or
-    /// sorted streams; equivalent to processing the decoded stream item by item).
-    fn process_runs(&mut self, runs: &[(u64, u64)]) {
-        for &(item, count) in runs {
-            self.process_run(item, count);
         }
     }
 
@@ -495,18 +466,6 @@ mod tests {
         }
         assert_eq!(batched.report(), one_by_one.report());
         assert_eq!(*batched.len.peek(), *one_by_one.len.peek());
-    }
-
-    #[test]
-    fn process_runs_matches_per_item_updates() {
-        let mut run_based = LengthCounter::new();
-        run_based.process_runs(&[(5, 3), (7, 0), (9, 2)]);
-        let mut one_by_one = LengthCounter::new();
-        for item in [5, 5, 5, 9, 9] {
-            one_by_one.update(item);
-        }
-        assert_eq!(run_based.report(), one_by_one.report());
-        assert_eq!(*run_based.len.peek(), *one_by_one.len.peek());
     }
 
     #[test]

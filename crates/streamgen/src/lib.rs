@@ -59,47 +59,6 @@ pub fn interleave(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Run-length encodes a stream: maximal runs of consecutive equal items become one
-/// `(item, count)` pair, in order.  Decoding reproduces the stream exactly, so
-/// feeding the pairs to [`StreamAlgorithm::process_runs`] is equivalent to processing
-/// the stream item by item — the opt-in fast path for sorted or heavily bursty
-/// streams (e.g. [`uniform::grouped_stream`], packet traces with flow locality).
-///
-/// [`StreamAlgorithm::process_runs`]: fsc_state::StreamAlgorithm::process_runs
-pub fn run_length_encode(stream: &[u64]) -> Vec<(u64, u64)> {
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    for &item in stream {
-        match runs.last_mut() {
-            Some((last, count)) if *last == item => *count += 1,
-            _ => runs.push((item, 1)),
-        }
-    }
-    runs
-}
-
-/// Iterator form of [`run_length_encode`]: yields `(item, run)` pairs lazily without
-/// materialising the encoded vector (for pre-pass pipelines over large streams).
-pub fn runs(stream: &[u64]) -> Runs<'_> {
-    Runs { rest: stream }
-}
-
-/// Lazy maximal-run iterator over a stream (see [`runs`]).
-#[derive(Debug, Clone)]
-pub struct Runs<'a> {
-    rest: &'a [u64],
-}
-
-impl Iterator for Runs<'_> {
-    type Item = (u64, u64);
-
-    fn next(&mut self) -> Option<(u64, u64)> {
-        let (&item, _) = self.rest.split_first()?;
-        let len = self.rest.iter().take_while(|&&x| x == item).count();
-        self.rest = &self.rest[len..];
-        Some((item, len as u64))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,32 +91,5 @@ mod tests {
         assert_eq!(interleave(&[7], &[]), vec![7]);
         // The longer-a case appends a's tail after the alternating prefix.
         assert_eq!(interleave(&[1, 1, 1], &[2]), vec![1, 2, 1, 1]);
-    }
-
-    #[test]
-    fn run_length_encoding_round_trips() {
-        let stream = [5u64, 5, 5, 2, 9, 9, 5, 5];
-        let encoded = run_length_encode(&stream);
-        assert_eq!(encoded, vec![(5, 3), (2, 1), (9, 2), (5, 2)]);
-        let decoded: Vec<u64> = encoded
-            .iter()
-            .flat_map(|&(item, count)| std::iter::repeat_n(item, count as usize))
-            .collect();
-        assert_eq!(decoded, stream);
-        assert_eq!(runs(&stream).collect::<Vec<_>>(), encoded);
-        assert!(run_length_encode(&[]).is_empty());
-        assert_eq!(runs(&[]).next(), None);
-        assert_eq!(run_length_encode(&[3]), vec![(3, 1)]);
-    }
-
-    #[test]
-    fn runs_iterator_matches_encoding_on_generated_streams() {
-        let stream = crate::uniform::grouped_stream(37, 11);
-        assert_eq!(
-            runs(&stream).collect::<Vec<_>>(),
-            run_length_encode(&stream)
-        );
-        assert_eq!(runs(&stream).count(), 37);
-        assert!(runs(&stream).all(|(_, c)| c == 11));
     }
 }

@@ -1,5 +1,5 @@
-//! Batch laws: the specialized `process_batch` kernels (and the run-length
-//! `process_run` kernels) must be **observably identical** to driving the same
+//! Batch laws: the specialized `process_batch` kernels must be **observably
+//! identical** to driving the same
 //! algorithm with per-item `update` calls — same answers, same [`StateReport`]
 //! (epochs, state changes, word writes, redundant writes, reads, space), and same
 //! per-address wear tables — for every batch split and every seed.
@@ -23,7 +23,7 @@ use few_state_changes::state::{
     EntropyEstimator, FrequencyEstimator, MomentEstimator, StateTracker, StreamAlgorithm,
     SupportRecovery, TrackerKind,
 };
-use few_state_changes::streamgen::{run_length_encode, zipf::zipf_stream};
+use few_state_changes::streamgen::zipf::zipf_stream;
 
 use proptest::prelude::*;
 
@@ -70,57 +70,12 @@ fn check_batch_law<A: StreamAlgorithm>(
     );
 }
 
-/// Per-item `update` vs run-length `process_runs` over the same stream.
-fn check_run_law<A: StreamAlgorithm>(
-    make: impl Fn(&StateTracker) -> A,
-    digest: impl Fn(&A) -> Vec<u64>,
-    stream: &[u64],
-) {
-    let t_item = StateTracker::with_address_tracking();
-    let mut per_item = make(&t_item);
-    for &x in stream {
-        per_item.update(x);
-    }
-    let t_runs = StateTracker::with_address_tracking();
-    let mut run_based = make(&t_runs);
-    run_based.process_runs(&run_length_encode(stream));
-
-    let name = per_item.name().to_string();
-    assert_eq!(
-        run_based.report(),
-        per_item.report(),
-        "{name}: run-length report diverged"
-    );
-    assert_eq!(
-        run_based.tracker().address_writes(),
-        per_item.tracker().address_writes(),
-        "{name}: run-length wear table diverged"
-    );
-    assert_eq!(
-        digest(&run_based),
-        digest(&per_item),
-        "{name}: run-length answers diverged"
-    );
-}
-
 fn frequency_digest<A: FrequencyEstimator>(alg: &A) -> Vec<u64> {
     let mut items = alg.tracked_items();
     items.sort_unstable();
     let mut out = items.clone();
     out.extend(items.iter().map(|&i| alg.estimate(i).to_bits()));
     out.extend((0u64..64).map(|i| alg.estimate(i).to_bits()));
-    out
-}
-
-/// Expands a stream into a bursty one (runs of length 1..=4 per item) so the
-/// run-length kernels exercise both their bulk and their fallback paths.
-fn burstify(stream: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(stream.len() * 2);
-    for (i, &x) in stream.iter().enumerate() {
-        for _ in 0..1 + (x as usize + i) % 4 {
-            out.push(x);
-        }
-    }
     out
 }
 
@@ -297,34 +252,10 @@ proptest! {
             );
         }
     }
-
-    /// Run-length kernels (ExactCounting, MisraGries, SpaceSaving, CountMin) ≡
-    /// per-item updates on bursty streams, including the fallback paths (absent
-    /// items, full tables, the Misra-Gries decrement branch).
-    #[test]
-    fn run_kernels_obey_the_run_law(
-        seed in 0u64..1_000,
-        len in 1usize..200,
-    ) {
-        let stream = burstify(&zipf_stream(64, len, 1.0, seed));
-
-        check_run_law(
-            |t| ExactCounting::with_tracker(t, 2.0),
-            frequency_digest,
-            &stream,
-        );
-        check_run_law(|t| MisraGries::with_tracker(t, 6), frequency_digest, &stream);
-        check_run_law(|t| SpaceSaving::with_tracker(t, 6), frequency_digest, &stream);
-        check_run_law(
-            |t| CountMin::with_tracker(t, 32, 4, seed),
-            frequency_digest,
-            &stream,
-        );
-    }
 }
 
-/// Degenerate inputs: empty streams, empty batches, and single-item runs must all
-/// agree with the per-item path (and with each other).
+/// Degenerate inputs: empty streams, empty batches, and one repeated item must all
+/// agree with the per-item path.
 #[test]
 fn batch_law_handles_degenerate_inputs() {
     check_batch_law(
@@ -339,16 +270,10 @@ fn batch_law_handles_degenerate_inputs() {
         &[7],
         &[0, 1, 1],
     );
-    check_run_law(
+    check_batch_law(
         |t| SpaceSaving::with_tracker(t, 4),
         frequency_digest,
         &[9, 9, 9, 9],
+        &[1, 1, 4],
     );
-    // process_runs with explicit zero-length runs is a no-op.
-    let t = StateTracker::new();
-    let mut alg = ExactCounting::with_tracker(&t, 1.0);
-    alg.process_runs(&[(5, 0), (6, 2), (7, 0)]);
-    assert_eq!(alg.report().epochs, 2);
-    assert_eq!(alg.estimate(6), 2.0);
-    assert_eq!(alg.estimate(5), 0.0);
 }

@@ -62,49 +62,30 @@ fn algorithms_with_equal_seeds_produce_identical_summaries() {
 }
 
 #[test]
-fn sharded_runs_are_deterministic_with_derived_per_shard_seeds() {
+fn sharded_engine_runs_are_deterministic() {
     use few_state_changes::baselines::MisraGries;
-    use fsc_bench::sharded::{run_sharded, shard_seed};
+    use few_state_changes::engine::{Engine, EngineConfig};
 
-    // The seed derivation is a pure function of (master, shard): equal inputs agree,
-    // different shards (and different masters) disagree — so sharded runs neither
-    // drift between invocations nor feed identical randomness to every shard.
-    let master = 0xF5C_5EED;
-    for shard in 0..8 {
-        assert_eq!(shard_seed(master, shard), shard_seed(master, shard));
-        assert_ne!(
-            shard_seed(master, shard),
-            master,
-            "derivation must not be the identity"
-        );
-    }
-    let distinct: std::collections::HashSet<u64> = (0..64).map(|s| shard_seed(master, s)).collect();
-    assert_eq!(
-        distinct.len(),
-        64,
-        "per-shard seeds must be pairwise distinct"
-    );
-    assert_ne!(shard_seed(1, 0), shard_seed(2, 0));
-
-    // A sharded run is a deterministic function of (stream, shards, master seed):
-    // running it twice produces identical merged summaries and identical accounting.
+    // A sharded run is a deterministic function of (stream, shards): running it
+    // twice produces identical merged summaries and identical accounting.
     let stream = zipf_stream(1 << 11, 8_192, 1.2, 3);
     let run_once = || {
-        let outcome = run_sharded(&stream, 4, |_shard| MisraGries::new(32));
-        let mut items = outcome.merged.tracked_items();
+        let mut engine = Engine::new(EngineConfig::default(), |_| MisraGries::new(32));
+        engine.ingest(&stream);
+        let merged = engine.merged_summary().unwrap();
+        let mut items = merged.tracked_items();
         items.sort_unstable();
         let estimates: Vec<u64> = items
             .iter()
-            .map(|&i| outcome.merged.estimate(i).to_bits())
+            .map(|&i| merged.estimate(i).to_bits())
             .collect();
-        (
-            items,
-            estimates,
-            outcome.combined_report.state_changes,
-            outcome.combined_report.epochs,
-        )
+        let report = engine.report();
+        (items, estimates, report.state_changes, report.epochs)
     };
-    assert_eq!(run_once(), run_once());
+    let (items, estimates, state_changes, epochs) = run_once();
+    assert!(!items.is_empty());
+    assert_eq!(epochs, stream.len() as u64);
+    assert_eq!(run_once(), (items, estimates, state_changes, epochs));
 }
 
 #[test]
