@@ -19,31 +19,21 @@
 //! regression in the snapshot/delta/merge layers fails the build here rather than
 //! in a downstream consumer.
 //!
-//! Like `fig_throughput`, only a full-scale run defaults to the committed repo-root
-//! record; `--quick` defaults to a temp file so a smoke run cannot replace the
-//! recorded results with reduced-scale numbers.
+//! The record is written through `fsc_bench::record`.
 
 use fsc_bench::experiments::engine::{
-    curves_check, curves_table, delta_curves, equivalence_check, run, schema_check, to_json,
+    curves_check, curves_table, delta_curves, equivalence_check, run, to_json, SCHEMA_KEYS,
 };
-use fsc_bench::Scale;
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+use fsc_bench::{cli, record};
 
 fn main() {
-    let scale = Scale::from_args();
-    let out_path = flag_value("--out").unwrap_or_else(|| match scale {
-        Scale::Full => format!("{}/../../BENCH_engine.json", env!("CARGO_MANIFEST_DIR")),
-        Scale::Quick => std::env::temp_dir()
-            .join("BENCH_engine.quick.json")
-            .to_string_lossy()
-            .into_owned(),
+    let (scale, out) = cli::from_env(&["--quick", "--out <path>"], |args| {
+        let scale = args.scale();
+        let out = args.value("--out")?;
+        Ok((
+            scale,
+            out.unwrap_or_else(|| record::default_out("engine", scale)),
+        ))
     });
 
     let (table, rows) = run(scale);
@@ -69,11 +59,5 @@ fn main() {
          write-heavy baselines on checkpoint bytes"
     );
 
-    let json = to_json(scale, &rows, &curves);
-    if let Err(err) = schema_check(&json) {
-        eprintln!("error: {err}");
-        std::process::exit(1);
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_engine.json");
-    println!("wrote {out_path}");
+    record::write(&out, &to_json(scale, &rows, &curves), SCHEMA_KEYS);
 }

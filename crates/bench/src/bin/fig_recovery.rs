@@ -21,58 +21,16 @@
 //! scheduling; recorded full-scale numbers come from an unloaded host.  The
 //! zero-loss and equality checks are load-independent.
 //!
-//! The JSON carries a `trajectory` array like the other records: existing
-//! entries are carried forward verbatim and this run's entry is appended.
-//! Only a full-scale run defaults to the committed repo-root
-//! `BENCH_recovery.json`; `--quick` defaults to a temp file so a smoke run
-//! cannot replace the recorded results with reduced-scale numbers.
+//! The record and its trajectory are written through `fsc_bench::record`.
 
 use fsc_bench::experiments::recovery::{
-    cadence_sweep, crash_matrix, durable_ratio, matrix_check, schema_check, sweep_check, to_json,
+    cadence_sweep, crash_matrix, durable_ratio, matrix_check, schema_keys, sweep_check, to_json,
     trajectory_entry,
 };
-use fsc_bench::experiments::throughput::trajectory_inner;
-use fsc_bench::Scale;
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Today's date as `YYYY-MM-DD` (UTC), from the system clock — no external crate.
-/// Uses the standard civil-from-days algorithm.
-fn today() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let days = (secs / 86_400) as i64;
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
+use fsc_bench::record;
 
 fn main() {
-    let scale = Scale::from_args();
-    let label = flag_value("--label").unwrap_or_else(|| "unlabelled recording".to_string());
-    let out_path = flag_value("--out").unwrap_or_else(|| match scale {
-        Scale::Full => format!("{}/../../BENCH_recovery.json", env!("CARGO_MANIFEST_DIR")),
-        Scale::Quick => std::env::temp_dir()
-            .join("BENCH_recovery.quick.json")
-            .to_string_lossy()
-            .into_owned(),
-    });
+    let (scale, label, out) = record::flags_from_env("recovery");
 
     let (matrix_table, matrix) = crash_matrix();
     matrix_table.print();
@@ -100,23 +58,16 @@ fn main() {
          exactly its uncheckpointed tail"
     );
 
-    // Carry the existing trajectory forward, then append this run's entry.
-    let old = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let mut trajectory = trajectory_inner(&old).unwrap_or_default();
-    trajectory.push(trajectory_entry(&today(), &label, scale, &matrix, &sweep));
-
+    let trajectory = record::carry_forward(
+        &out,
+        trajectory_entry(&record::today(), &label, scale, &matrix, &sweep),
+    );
     let json = to_json(scale, &matrix, &sweep, &trajectory);
-    if let Err(err) = schema_check(&json) {
-        eprintln!("error: {err}");
-        std::process::exit(1);
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_recovery.json");
     if let Some(ratio) = durable_ratio(&sweep) {
         println!(
             "headline: at the tightest checkpoint cadence, the best few-state algorithm \
              writes {ratio:.2}× fewer durable bytes per item than the worst baseline"
         );
     }
-    println!("trajectory: {} entr(y/ies) recorded", trajectory.len());
-    println!("wrote {out_path}");
+    record::write(&out, &json, &schema_keys());
 }

@@ -20,58 +20,16 @@
 //! 50% at `--quick`) as often as the write-heaviest baseline at equal ingest.
 //! The emitted JSON is schema-checked.
 //!
-//! The JSON carries a `trajectory` array like the throughput record: existing
-//! entries are carried forward verbatim and this run's entry is appended.  Only
-//! a full-scale run defaults to the committed repo-root `BENCH_serve.json`;
-//! `--quick` defaults to a temp file so a smoke run cannot replace the recorded
-//! results with reduced-scale numbers.
+//! The record and its trajectory are written through `fsc_bench::record`.
 
 use fsc_bench::experiments::serve::{
     concurrent, concurrent_check, concurrent_table, headline_check, headline_threshold, run,
-    schema_check, staleness, staleness_table, to_json, trajectory_entry,
+    staleness, staleness_table, to_json, trajectory_entry, SCHEMA_KEYS,
 };
-use fsc_bench::experiments::throughput::trajectory_inner;
-use fsc_bench::Scale;
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Today's date as `YYYY-MM-DD` (UTC), from the system clock — no external crate.
-/// Uses the standard civil-from-days algorithm.
-fn today() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let days = (secs / 86_400) as i64;
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
+use fsc_bench::record;
 
 fn main() {
-    let scale = Scale::from_args();
-    let label = flag_value("--label").unwrap_or_else(|| "unlabelled recording".to_string());
-    let out_path = flag_value("--out").unwrap_or_else(|| match scale {
-        Scale::Full => format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR")),
-        Scale::Quick => std::env::temp_dir()
-            .join("BENCH_serve.quick.json")
-            .to_string_lossy()
-            .into_owned(),
-    });
+    let (scale, label, out) = record::flags_from_env("serve");
 
     let (table, rows) = run(scale);
     table.print();
@@ -107,17 +65,11 @@ fn main() {
          matched a fresh rebuild at quiescence"
     );
 
-    // Carry the existing trajectory forward, then append this run's entry.
-    let old = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let mut trajectory = trajectory_inner(&old).unwrap_or_default();
-    trajectory.push(trajectory_entry(&today(), &label, scale, &rows, &stale));
-
+    let trajectory = record::carry_forward(
+        &out,
+        trajectory_entry(&record::today(), &label, scale, &rows, &stale),
+    );
     let json = to_json(scale, &rows, &stale, &threads, &trajectory);
-    if let Err(err) = schema_check(&json) {
-        eprintln!("error: {err}");
-        std::process::exit(1);
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
     if let Some(head) = rows
         .iter()
         .filter(|r| r.id == "count_min")
@@ -132,6 +84,5 @@ fn main() {
             head.updates
         );
     }
-    println!("trajectory: {} entr(y/ies) recorded", trajectory.len());
-    println!("wrote {out_path}");
+    record::write(&out, &json, SCHEMA_KEYS);
 }

@@ -4,7 +4,7 @@
 //! shards' epochs do not add up to the stream length (see `Row::violation`).
 
 fn main() {
-    let scale = fsc_bench::Scale::from_args();
+    let scale = fsc_bench::cli::from_env(&["--quick"], |args| Ok(args.scale()));
     let (table, rows) = fsc_bench::experiments::sharding::run(scale);
     table.print();
     for r in &rows {

@@ -1,7 +1,7 @@
 //! Regenerates experiment F2: space scaling of the F_p estimator.
 
 fn main() {
-    let scale = fsc_bench::Scale::from_args();
+    let scale = fsc_bench::cli::from_env(&["--quick"], |args| Ok(args.scale()));
     let (_, space_table, series) = fsc_bench::experiments::scaling::run(scale);
     space_table.print();
     for s in series {

@@ -1,7 +1,7 @@
 //! Regenerates experiment F1: state-change scaling of the F_p estimator.
 
 fn main() {
-    let scale = fsc_bench::Scale::from_args();
+    let scale = fsc_bench::cli::from_env(&["--quick"], |args| Ok(args.scale()));
     let (state_table, _, series) = fsc_bench::experiments::scaling::run(scale);
     state_table.print();
     for s in series {

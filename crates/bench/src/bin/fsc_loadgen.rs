@@ -22,28 +22,43 @@
 
 use std::net::{SocketAddr, ToSocketAddrs};
 
+use fsc_bench::cli;
 use fsc_serve::{Client, ClientConfig, LoadGen};
 
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-fn parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    flag_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:7070".to_string());
+    let spec = &[
+        "--addr <host:port>",
+        "--connections <n>",
+        "--batches <n>",
+        "--batch-size <n>",
+        "--algorithm <id>",
+        "--shards <n>",
+        "--universe <n>",
+        "--seed <n>",
+        "--status",
+        "--shutdown",
+    ];
+    let (addr, gen, status, shutdown) = cli::from_env(spec, |args| {
+        let shutdown = args.flag("--shutdown");
+        let gen = LoadGen {
+            connections: args.value("--connections")?.unwrap_or(2),
+            batches: args
+                .value("--batches")?
+                .unwrap_or(if shutdown { 0 } else { 50 }),
+            batch_size: args.value("--batch-size")?.unwrap_or(256),
+            algorithm: args
+                .value("--algorithm")?
+                .unwrap_or_else(|| "count_min".to_string()),
+            shards: args.value("--shards")?.unwrap_or(2),
+            universe: args.value("--universe")?.unwrap_or(1 << 12),
+            seed: args.value("--seed")?.unwrap_or(1),
+            client: ClientConfig::default(),
+        };
+        let addr: String = args
+            .value("--addr")?
+            .unwrap_or_else(|| "127.0.0.1:7070".to_string());
+        Ok((addr, gen, args.flag("--status"), shutdown))
+    });
     let addr: SocketAddr = match addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
         Some(resolved) => resolved,
         None => {
@@ -51,20 +66,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let shutdown = flag("--shutdown");
-    let batches = parse("--batches", if shutdown { 0 } else { 50 });
 
-    if batches > 0 {
-        let gen = LoadGen {
-            connections: parse("--connections", 2),
-            batches,
-            batch_size: parse("--batch-size", 256),
-            algorithm: flag_value("--algorithm").unwrap_or_else(|| "count_min".to_string()),
-            shards: parse("--shards", 2),
-            universe: parse("--universe", 1 << 12),
-            seed: parse("--seed", 1),
-            client: ClientConfig::default(),
-        };
+    if gen.batches > 0 {
         println!(
             "load: {} connection(s) × {} batch(es) × {} item(s) of {:?} against {addr}",
             gen.connections, gen.batches, gen.batch_size, gen.algorithm
@@ -96,7 +99,7 @@ fn main() {
         }
     }
 
-    if flag("--status") {
+    if status {
         let mut client = Client::new(addr, ClientConfig::default());
         let status = match client.status() {
             Ok(s) => s,

@@ -19,37 +19,39 @@
 //! batches survive power loss too; the default relaxed mode batches fsyncs
 //! every `--group-commit` appends.
 
+use fsc_bench::cli;
 use fsc_bench::registry::serve_factory;
 use fsc_serve::{Durability, Server, ServerConfig};
 
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
-    let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:7070".to_string());
-    let data_dir = flag_value("--data-dir").unwrap_or_else(|| "fsc-serve-data".to_string());
-    let max_inflight: usize = flag_value("--max-inflight")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let durability = if std::env::args().any(|a| a == "--durable") {
-        Durability::AckAfterDurable
-    } else {
-        Durability::AckAfterApply
-    };
-    let group_commit: u64 = flag_value("--group-commit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-
-    let config = ServerConfig::new(&data_dir)
-        .with_max_inflight_ingest(max_inflight)
-        .with_durability(durability)
-        .with_group_commit(group_commit);
-    let (server, recovery) = match Server::start(&addr, config, serve_factory()) {
+    let spec = &[
+        "--addr <host:port>",
+        "--data-dir <dir>",
+        "--max-inflight <n>",
+        "--durable",
+        "--group-commit <n>",
+    ];
+    let (addr, data_dir, config) = cli::from_env(spec, |args| {
+        let data_dir: String = args
+            .value("--data-dir")?
+            .unwrap_or_else(|| "fsc-serve-data".into());
+        let durability = if args.flag("--durable") {
+            Durability::AckAfterDurable
+        } else {
+            Durability::AckAfterApply
+        };
+        let config = ServerConfig::new(&data_dir)
+            .with_max_inflight_ingest(args.value("--max-inflight")?.unwrap_or(64))
+            .with_durability(durability)
+            .with_group_commit(args.value("--group-commit")?.unwrap_or(8));
+        let addr = args.value("--addr")?;
+        Ok((
+            addr.unwrap_or_else(|| "127.0.0.1:7070".to_string()),
+            data_dir,
+            config,
+        ))
+    });
+    let (server, recovery) = match Server::start(&addr, config.clone(), serve_factory()) {
         Ok(started) => started,
         Err(e) => {
             eprintln!("error: binding {addr}: {e}");
@@ -69,9 +71,11 @@ fn main() {
         );
     }
     println!(
-        "serving on {} (data dir {data_dir}, ingest admission bound {max_inflight}, \
-         {durability}, group commit {group_commit})",
-        server.addr()
+        "serving on {} (data dir {data_dir}, ingest admission bound {}, {}, group commit {})",
+        server.addr(),
+        config.max_inflight_ingest,
+        config.durability,
+        config.group_commit
     );
     println!(
         "stop with a client Shutdown frame, e.g.: fsc_loadgen -- --addr {} --shutdown",

@@ -12,16 +12,19 @@
 //! every earlier table have finished.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::sync::Mutex;
 
-use fsc_bench::{experiments, parallel_map, threads_from_args, Scale};
+use fsc_bench::{cli, experiments, parallel_map};
 
 /// One experiment cell: deferred work producing its rendered output.
 type Cell = Box<dyn FnOnce() -> String + Send>;
 
 fn main() {
-    let scale = Scale::from_args();
-    let threads = threads_from_args();
+    let (scale, threads) = cli::from_env(&["--quick", "--threads <n>"], |args| {
+        let threads = args.value("--threads")?.map_or(1, NonZeroUsize::get);
+        Ok((args.scale(), threads))
+    });
     println!("# Few State Changes — experiment suite ({scale:?} scale, {threads} thread(s))\n");
 
     let cells: Vec<Cell> = vec![

@@ -692,34 +692,27 @@ pub fn to_json(scale: Scale, rows: &[Row], curves: &[CurveRow]) -> String {
     out
 }
 
-/// Structural check of the emitted JSON (mirrors the throughput schema check: a
-/// malformed record fails CI instead of silently rotting).
-pub fn schema_check(json: &str) -> Result<(), String> {
-    for key in [
-        "\"experiment\": \"engine\"",
-        "\"scale\":",
-        "\"shards\":",
-        "\"rows\":",
-        "\"mode\":",
-        "\"restore_ok\": true",
-        "\"checkpoint_bytes\":",
-        "\"delta_bytes\":",
-        "\"max_query_diff\":",
-        "\"curves\":",
-        "\"persisted_bytes\":",
-        "\"full_policy_bytes\":",
-        "\"persistence_ratio\":",
-    ] {
-        if !json.contains(key) {
-            return Err(format!("BENCH_engine.json is missing {key}"));
-        }
-    }
-    Ok(())
-}
+/// The keys every `BENCH_engine.json` must contain ([`crate::record::check_keys`]).
+pub const SCHEMA_KEYS: &[&str] = &[
+    "\"experiment\": \"engine\"",
+    "\"scale\":",
+    "\"shards\":",
+    "\"rows\":",
+    "\"mode\":",
+    "\"restore_ok\": true",
+    "\"checkpoint_bytes\":",
+    "\"delta_bytes\":",
+    "\"max_query_diff\":",
+    "\"curves\":",
+    "\"persisted_bytes\":",
+    "\"full_policy_bytes\":",
+    "\"persistence_ratio\":",
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::check_keys;
 
     #[test]
     fn quick_matrix_covers_every_engine_spec_and_scenario_and_holds_the_laws() {
@@ -764,7 +757,7 @@ mod tests {
         );
         let curves = delta_curves(Scale::Quick);
         let json = to_json(Scale::Quick, &rows, &curves);
-        schema_check(&json).expect("schema");
+        check_keys(&json, SCHEMA_KEYS).expect("schema");
     }
 
     #[test]
@@ -851,6 +844,6 @@ mod tests {
 
     #[test]
     fn schema_check_rejects_incomplete_json() {
-        assert!(schema_check("{}").is_err());
+        assert!(check_keys("{}", SCHEMA_KEYS).is_err());
     }
 }

@@ -43,6 +43,7 @@ use fsc_serve::{
 };
 use fsc_state::{Answer, Query};
 
+use crate::record;
 use crate::registry::{engine_specs, serve_factory};
 use crate::table::{f, Table};
 use crate::Scale;
@@ -773,16 +774,6 @@ pub fn sweep_check(rows: &[CadenceRow]) -> Result<(), String> {
 
 // --- JSON record --------------------------------------------------------------
 
-fn sanitize(text: &str) -> String {
-    text.chars()
-        .map(|c| match c {
-            '"' | '\\' | '[' | ']' => '_',
-            c if c.is_control() => '_',
-            c => c,
-        })
-        .collect()
-}
-
 /// Serializes the record written to `BENCH_recovery.json`.
 pub fn to_json(
     scale: Scale,
@@ -814,7 +805,7 @@ pub fn to_json(
             r.truncated_bytes,
             r.exact_at_recovery,
             r.converged,
-            sanitize(&r.detail),
+            record::sanitize(&r.detail),
             if i + 1 < matrix.len() { "," } else { "" }
         ));
     }
@@ -826,7 +817,7 @@ pub fn to_json(
              \"items\": {}, \"replayed\": {}, \"recovery_ms\": {:.3}, \
              \"checkpoint_bytes\": {}, \"wal_bytes\": {}, \
              \"durable_bytes_per_item\": {:.3}, \"exact\": {}}}{}\n",
-            sanitize(&r.algorithm),
+            record::sanitize(&r.algorithm),
             r.cadence,
             r.batches,
             r.items,
@@ -840,15 +831,8 @@ pub fn to_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"trajectory\": [\n");
-    for (i, entry) in trajectory.iter().enumerate() {
-        out.push_str(&format!(
-            "    {entry}{}\n",
-            if i + 1 < trajectory.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
+    out.push_str(&record::trajectory_json(trajectory));
+    out.push_str("\n}\n");
     out
 }
 
@@ -861,7 +845,7 @@ pub fn trajectory_entry(
     matrix: &[CrashRow],
     sweep: &[CadenceRow],
 ) -> String {
-    let (date, label) = (sanitize(date), sanitize(label));
+    let (date, label) = (record::sanitize(date), record::sanitize(label));
     let zero_loss = matrix
         .iter()
         .filter(|r| ZERO_LOSS_SCENARIOS.contains(&r.scenario) && r.zero_acked_loss())
@@ -879,10 +863,10 @@ pub fn trajectory_entry(
     )
 }
 
-/// Structural check of the emitted JSON (a malformed record fails CI instead
-/// of silently rotting).
-pub fn schema_check(json: &str) -> Result<(), String> {
-    for key in [
+/// The keys every `BENCH_recovery.json` must contain ([`record::check_keys`]):
+/// the fixed fields plus one row per `SCENARIOS` entry.
+pub fn schema_keys() -> Vec<String> {
+    [
         "\"experiment\": \"recovery\"",
         "\"scale\":",
         "\"group_commit\":",
@@ -898,19 +882,15 @@ pub fn schema_check(json: &str) -> Result<(), String> {
         "\"date\":",
         "\"zero_loss_held\":",
         "\"durable_bytes_ratio\":",
-    ] {
-        if !json.contains(key) {
-            return Err(format!("BENCH_recovery.json is missing {key}"));
-        }
-    }
-    for scenario in SCENARIOS {
-        if !json.contains(&format!("\"scenario\": \"{scenario}\"")) {
-            return Err(format!(
-                "BENCH_recovery.json is missing scenario {scenario:?}"
-            ));
-        }
-    }
-    Ok(())
+    ]
+    .into_iter()
+    .map(String::from)
+    .chain(
+        SCENARIOS
+            .iter()
+            .map(|scenario| format!("\"scenario\": \"{scenario}\"")),
+    )
+    .collect()
 }
 
 #[cfg(test)]
@@ -979,12 +959,11 @@ mod tests {
         ];
         let entry = trajectory_entry("2026-08-09", "unit", Scale::Quick, &matrix, &sweep);
         let json = to_json(Scale::Quick, &matrix, &sweep, std::slice::from_ref(&entry));
-        schema_check(&json).expect("schema");
+        record::check_keys(&json, &schema_keys()).expect("schema");
         assert!(entry.contains("\"zero_loss_held\": 7"));
         assert!(entry.contains(&format!("\"durable_bytes_ratio\": {:.2}", 26.2 / 8.6)));
         assert!(!json.contains("hostile\nbytes"), "detail sanitized");
-        let restored = crate::experiments::throughput::trajectory_inner(&json)
-            .expect("trajectory parses back");
+        let restored = record::trajectory_inner(&json).expect("trajectory parses back");
         assert_eq!(restored, vec![entry]);
     }
 

@@ -41,6 +41,7 @@ use fsc_streamgen::uniform::uniform_stream;
 use fsc_streamgen::zipf::zipf_stream;
 
 use crate::experiments::engine::FEW_STATE_IDS;
+use crate::record;
 use crate::registry::{engine_specs, registry, AlgorithmSpec, MakeCtx};
 use crate::table::{f, Table};
 use crate::Scale;
@@ -606,15 +607,8 @@ pub fn to_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"trajectory\": [\n");
-    for (i, entry) in trajectory.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            entry.trim(),
-            if i + 1 < trajectory.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str(&record::trajectory_json(trajectory));
+    out.push_str("\n}\n");
     out
 }
 
@@ -627,16 +621,7 @@ pub fn trajectory_entry(
     rows: &[Row],
     stale: &[StaleRow],
 ) -> String {
-    let sanitize = |text: &str| -> String {
-        text.chars()
-            .map(|c| match c {
-                '"' | '\\' | '[' | ']' => '_',
-                c if c.is_control() => '_',
-                c => c,
-            })
-            .collect()
-    };
-    let (date, label) = (sanitize(date), sanitize(label));
+    let (date, label) = (record::sanitize(date), record::sanitize(label));
     let headline = rows
         .iter()
         .filter(|r| r.id == "count_min")
@@ -666,33 +651,25 @@ pub fn trajectory_entry(
     )
 }
 
-/// Structural check of the emitted JSON (mirrors the throughput and engine
-/// schema checks: a malformed record fails CI instead of silently rotting).
-pub fn schema_check(json: &str) -> Result<(), String> {
-    for key in [
-        "\"experiment\": \"serve\"",
-        "\"scale\":",
-        "\"shards\":",
-        "\"reads_per_batch\":",
-        "\"rows\":",
-        "\"queries_per_sec\":",
-        "\"rebuilds\":",
-        "\"dirty_batches\":",
-        "\"answers_match\": true",
-        "\"staleness\":",
-        "\"dirty_windows\":",
-        "\"rebuild_fraction\":",
-        "\"concurrent\":",
-        "\"quiescent_match\": true",
-        "\"trajectory\":",
-        "\"date\":",
-    ] {
-        if !json.contains(key) {
-            return Err(format!("BENCH_serve.json is missing {key}"));
-        }
-    }
-    Ok(())
-}
+/// The keys every `BENCH_serve.json` must contain ([`record::check_keys`]).
+pub const SCHEMA_KEYS: &[&str] = &[
+    "\"experiment\": \"serve\"",
+    "\"scale\":",
+    "\"shards\":",
+    "\"reads_per_batch\":",
+    "\"rows\":",
+    "\"queries_per_sec\":",
+    "\"rebuilds\":",
+    "\"dirty_batches\":",
+    "\"answers_match\": true",
+    "\"staleness\":",
+    "\"dirty_windows\":",
+    "\"rebuild_fraction\":",
+    "\"concurrent\":",
+    "\"quiescent_match\": true",
+    "\"trajectory\":",
+    "\"date\":",
+];
 
 #[cfg(test)]
 mod tests {
@@ -742,10 +719,8 @@ mod tests {
         let threads = concurrent(Scale::Quick);
         let entry = trajectory_entry("2026-01-01", "test", Scale::Quick, &rows, &stale);
         let json = to_json(Scale::Quick, &rows, &stale, &threads, &[entry]);
-        schema_check(&json).expect("schema");
-        assert!(
-            crate::experiments::throughput::trajectory_inner(&json).is_some_and(|t| t.len() == 1)
-        );
+        record::check_keys(&json, SCHEMA_KEYS).expect("schema");
+        assert!(record::trajectory_inner(&json).is_some_and(|t| t.len() == 1));
     }
 
     #[test]
@@ -773,6 +748,6 @@ mod tests {
 
     #[test]
     fn schema_check_rejects_incomplete_json() {
-        assert!(schema_check("{}").is_err());
+        assert!(record::check_keys("{}", SCHEMA_KEYS).is_err());
     }
 }

@@ -36,6 +36,7 @@ use fsc_serve::{
 };
 use fsc_state::{Answer, Query};
 
+use crate::record;
 use crate::registry::serve_factory;
 use crate::table::{f, Table};
 use crate::Scale;
@@ -831,16 +832,6 @@ pub fn matrix_check(rows: &[DrillRow]) -> Result<(), String> {
 
 // --- JSON record --------------------------------------------------------------
 
-fn sanitize(text: &str) -> String {
-    text.chars()
-        .map(|c| match c {
-            '"' | '\\' | '[' | ']' => '_',
-            c if c.is_control() => '_',
-            c => c,
-        })
-        .collect()
-}
-
 /// Serializes the record written to `BENCH_serve_net.json`.
 pub fn to_json(
     scale: Scale,
@@ -886,20 +877,13 @@ pub fn to_json(
             r.recovered,
             r.answers_match,
             r.discarded,
-            sanitize(&r.detail),
+            record::sanitize(&r.detail),
             if i + 1 < matrix.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"trajectory\": [\n");
-    for (i, entry) in trajectory.iter().enumerate() {
-        out.push_str(&format!(
-            "    {entry}{}\n",
-            if i + 1 < trajectory.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
+    out.push_str(&record::trajectory_json(trajectory));
+    out.push_str("\n}\n");
     out
 }
 
@@ -912,7 +896,7 @@ pub fn trajectory_entry(
     sweep: &[SweepRow],
     matrix: &[DrillRow],
 ) -> String {
-    let (date, label) = (sanitize(date), sanitize(label));
+    let (date, label) = (record::sanitize(date), record::sanitize(label));
     let peak = sweep
         .iter()
         .max_by(|a, b| a.items_per_sec.total_cmp(&b.items_per_sec));
@@ -932,10 +916,10 @@ pub fn trajectory_entry(
     )
 }
 
-/// Structural check of the emitted JSON (a malformed record fails CI instead of
-/// silently rotting).
-pub fn schema_check(json: &str) -> Result<(), String> {
-    for key in [
+/// The keys every `BENCH_serve_net.json` must contain ([`record::check_keys`]):
+/// the fixed fields plus one row per `FAULT_CLASSES` entry.
+pub fn schema_keys() -> Vec<String> {
+    [
         "\"experiment\": \"serve_net\"",
         "\"scale\":",
         "\"algorithm\":",
@@ -950,17 +934,15 @@ pub fn schema_check(json: &str) -> Result<(), String> {
         "\"trajectory\":",
         "\"date\":",
         "\"faults_recovered_exactly\":",
-    ] {
-        if !json.contains(key) {
-            return Err(format!("BENCH_serve_net.json is missing {key}"));
-        }
-    }
-    for class in FAULT_CLASSES {
-        if !json.contains(&format!("\"fault\": \"{class}\"")) {
-            return Err(format!("BENCH_serve_net.json is missing drill {class:?}"));
-        }
-    }
-    Ok(())
+    ]
+    .into_iter()
+    .map(String::from)
+    .chain(
+        FAULT_CLASSES
+            .iter()
+            .map(|class| format!("\"fault\": \"{class}\"")),
+    )
+    .collect()
 }
 
 #[cfg(test)]
@@ -1011,12 +993,11 @@ mod tests {
             .collect();
         let entry = trajectory_entry("2026-08-08", "unit", Scale::Quick, &sweep, &matrix);
         let json = to_json(Scale::Quick, &sweep, &matrix, std::slice::from_ref(&entry));
-        schema_check(&json).expect("schema");
+        record::check_keys(&json, &schema_keys()).expect("schema");
         assert!(entry.contains("\"faults_drilled\": 5"));
         assert!(entry.contains("\"faults_recovered_exactly\": 5"));
         assert!(!json.contains("hostile\nbytes"), "detail sanitized");
-        let restored = crate::experiments::throughput::trajectory_inner(&json)
-            .expect("trajectory parses back");
+        let restored = record::trajectory_inner(&json).expect("trajectory parses back");
         assert_eq!(restored, vec![entry]);
     }
 

@@ -15,26 +15,27 @@
 //! counts, [`divergence_check`] fails the run (and CI) if any `(algorithm, stream)`
 //! cell disagrees between modes — a kernel that silently diverges cannot land.
 //!
-//! The machine-readable record `BENCH_throughput.json` additionally carries a
-//! `trajectory` array: one dated entry per recording — including the detected host
-//! core count and the batch-kernel lane width — appended (never overwritten) by
-//! `fig_throughput`, so the perf history across PRs stays machine-readable.
-//! [`assert_append_only`] enforces the never-overwritten part, and
-//! [`last_trajectory_countmin`] exposes the latest recorded headline as the
-//! reference for the CI throughput-regression gate.
+//! The perf gate is a ratio measured within the run, not a number recorded on
+//! another host: [`kernel_gate`] fails the run when CountMin's batch kernel is less
+//! than [`MIN_KERNEL_SPEEDUP`] times as fast as its per-item loop (median over the
+//! three streams, at the default lane width).
 //!
-//! Timing methodology: per (algorithm, stream, mode) cell the stream is processed
-//! once as a warm-up and then `samples` more times on freshly constructed instances;
-//! the **best** wall-clock time is reported (minimum is the standard estimator for a
-//! deterministic workload on a noisy machine — all other samples are strictly
-//! noise-inflated).  Construction is outside the timed region.
+//! Timing methodology: per (algorithm, stream) cell the stream is processed once
+//! per mode as a warm-up and then `samples` more times on freshly constructed
+//! instances, the batch and item samples interleaved so a change in the host's
+//! speed during the cell hits both sides of the ratio; the **best** wall-clock time
+//! per mode is reported (minimum is the standard estimator for a deterministic
+//! workload on a noisy machine — all other samples are strictly noise-inflated).
+//! Construction is outside the timed region.
 
+use std::str::FromStr;
 use std::time::Instant;
 
 use fsc_streamgen::netflow::{flow_trace, FlowTraceSpec};
 use fsc_streamgen::uniform::uniform_stream;
 use fsc_streamgen::zipf::zipf_stream;
 
+use crate::record;
 use crate::registry::{spec, MakeCtx};
 use crate::table::{f, Table};
 use crate::Scale;
@@ -51,17 +52,21 @@ pub enum Mode {
     Both,
 }
 
-impl Mode {
+impl FromStr for Mode {
+    type Err = &'static str;
+
     /// Parses a `--mode` flag value.
-    pub fn parse(s: &str) -> Option<Mode> {
+    fn from_str(s: &str) -> Result<Mode, Self::Err> {
         match s {
-            "batch" => Some(Mode::Batch),
-            "item" => Some(Mode::Item),
-            "both" => Some(Mode::Both),
-            _ => None,
+            "batch" => Ok(Mode::Batch),
+            "item" => Ok(Mode::Item),
+            "both" => Ok(Mode::Both),
+            _ => Err("expected batch, item or both"),
         }
     }
+}
 
+impl Mode {
     fn includes(self, mode: &str) -> bool {
         matches!(
             (self, mode),
@@ -131,12 +136,9 @@ impl Report {
         })
     }
 
-    /// Renders the report as pretty-printed JSON (hand-rolled: the workspace is
-    /// offline and carries no serde).  `baseline_countmin` is the pre-PR headline
-    /// items/sec measured by this same harness, used to record the speedup;
-    /// `trajectory` is the full (carried-forward plus appended) history array,
-    /// rendered verbatim as its entries' JSON objects.
-    pub fn to_json(&self, baseline_countmin: Option<f64>, trajectory: &[String]) -> String {
+    /// Renders the report as pretty-printed JSON; `trajectory` is the full
+    /// (carried-forward plus appended) history array ([`record::carry_forward`]).
+    pub fn to_json(&self, trajectory: &[String]) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"experiment\": \"throughput\",\n");
         out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
@@ -170,15 +172,7 @@ impl Report {
             ));
         }
         out.push_str("  ],\n");
-        out.push_str("  \"trajectory\": [\n");
-        for (i, entry) in trajectory.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}{}\n",
-                entry.trim(),
-                if i + 1 < trajectory.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]");
+        out.push_str(&record::trajectory_json(trajectory));
         if let Some(head) = self.headline() {
             out.push_str(",\n  \"headline\": {\n");
             out.push_str(&format!(
@@ -186,15 +180,6 @@ impl Report {
                 head.algorithm, head.stream, head.mode
             ));
             out.push_str(&format!("    \"items_per_sec\": {:.0}", head.items_per_sec));
-            if let Some(base) = baseline_countmin {
-                out.push_str(&format!(",\n    \"pre_pr_items_per_sec\": {base:.0}"));
-                if base > 0.0 {
-                    out.push_str(&format!(
-                        ",\n    \"speedup_vs_pre_pr\": {:.2}",
-                        head.items_per_sec / base
-                    ));
-                }
-            }
             out.push_str("\n  }");
         }
         out.push_str("\n}\n");
@@ -202,23 +187,10 @@ impl Report {
     }
 
     /// Renders this run's dated trajectory entry: the key full-tracker Zipf cells in
-    /// batch mode (items/sec), labelled so readers can attribute the recording.
-    ///
-    /// The caller-supplied label and date are sanitized for the hand-rolled JSON
-    /// writer and the bracket-scanning [`trajectory_inner`] parser: quotes,
-    /// backslashes, square brackets, and control characters become `_`, so a label
-    /// like `PR 5 "batch" [wip]` cannot corrupt the committed record.
+    /// batch mode (items/sec), labelled so readers can attribute the recording
+    /// (date and label pass through [`record::sanitize`]).
     pub fn trajectory_entry(&self, date: &str, label: &str) -> String {
-        let sanitize = |text: &str| -> String {
-            text.chars()
-                .map(|c| match c {
-                    '"' | '\\' | '[' | ']' => '_',
-                    c if c.is_control() => '_',
-                    c => c,
-                })
-                .collect()
-        };
-        let (date, label) = (sanitize(date), sanitize(label));
+        let (date, label) = (record::sanitize(date), record::sanitize(label));
         let cell = |alg: &str| {
             self.cell(alg, "full", "zipf", "batch")
                 .map(|r| format!("{:.0}", r.items_per_sec))
@@ -268,13 +240,11 @@ pub fn divergence_check(report: &Report) -> Result<(), String> {
     Ok(())
 }
 
-/// Structural check of the emitted JSON against the mode that produced it: all
-/// required keys present, rows for each measured mode, and — whenever a batch row
-/// exists — the headline block (item-only runs legitimately have neither).
-/// Hand-rolled writer, hand-rolled checker: a malformed record fails CI instead of
-/// silently rotting the trajectory.
-pub fn schema_check(json: &str, mode: Mode) -> Result<(), String> {
-    let mut required = vec![
+/// The keys a record of `mode` must contain ([`record::check_keys`]): rows for
+/// each measured mode and — whenever a batch row exists — the headline block
+/// (item-only runs legitimately have neither).
+pub fn schema_keys(mode: Mode) -> Vec<&'static str> {
+    let mut keys = vec![
         "\"experiment\": \"throughput\"",
         "\"scale\":",
         "\"samples\":",
@@ -289,111 +259,51 @@ pub fn schema_check(json: &str, mode: Mode) -> Result<(), String> {
         "\"date\":",
     ];
     if mode.includes("batch") {
-        required.push("\"headline\":");
-        required.push("\"mode\": \"batch\"");
+        keys.extend(["\"headline\":", "\"mode\": \"batch\""]);
     }
     if mode.includes("item") {
-        required.push("\"mode\": \"item\"");
+        keys.push("\"mode\": \"item\"");
     }
-    for key in required {
-        if !json.contains(key) {
-            return Err(format!("BENCH_throughput.json is missing {key}"));
-        }
-    }
-    Ok(())
+    keys
 }
 
-/// Extracts the raw inner text of an existing record's `"trajectory": [...]` array
-/// (verbatim entry objects, one per line), so a new recording can carry history
-/// forward.  Returns `None` when the file predates the trajectory format.
-pub fn trajectory_inner(old_json: &str) -> Option<Vec<String>> {
-    let start = old_json.find("\"trajectory\": [")?;
-    let open = old_json[start..].find('[')? + start;
-    let mut depth = 0usize;
-    let mut end = None;
-    for (i, c) in old_json[open..].char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(open + i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let inner = &old_json[open + 1..end?];
-    Some(
-        inner
-            .lines()
-            .map(|l| l.trim().trim_end_matches(',').to_string())
-            .filter(|l| !l.is_empty())
-            .collect(),
-    )
-}
+/// The batch/item speedup CountMin's kernel must keep at the default lane width.
+///
+/// Healthy quick runs on a 2-vCPU host read 1.83–2.25 (30 runs); with
+/// `process_batch` slowed by an injected 25% they read 1.23–1.52 (20 runs).
+/// The scalar kernel (`--lanes 1`) reads about 1.3, so the gate applies at the
+/// default width only.
+pub const MIN_KERNEL_SPEEDUP: f64 = 1.6;
 
-/// Fails unless the previously recorded trajectory entries are a verbatim,
-/// in-order prefix of the new entry list — i.e. a recording may only *append*
-/// history, never rewrite or drop it.  `fig_throughput` runs this before
-/// overwriting `BENCH_throughput.json`, so a bug (or a tempting hand edit) in the
-/// carry-forward path cannot silently erase the PR-over-PR perf record.
-pub fn assert_append_only(old_entries: &[String], new_entries: &[String]) -> Result<(), String> {
-    if new_entries.len() < old_entries.len() {
+/// The same-run perf gate: CountMin's batch items/sec over its per-item
+/// items/sec, the median over the streams.  `Ok(None)` when the gate does not
+/// apply (a single-mode run, or a lane width other than the default); an error
+/// when the median falls below [`MIN_KERNEL_SPEEDUP`].
+pub fn kernel_gate(report: &Report) -> Result<Option<f64>, String> {
+    if report.lane_width != fsc_counters::lanes::DEFAULT_LANE_WIDTH {
+        return Ok(None);
+    }
+    let mut ratios: Vec<f64> = report
+        .streams
+        .iter()
+        .filter_map(|(stream, _, _)| {
+            let batch = report.cell("CountMin", "full", stream, "batch")?;
+            let item = report.cell("CountMin", "full", stream, "item")?;
+            Some(batch.items_per_sec / item.items_per_sec)
+        })
+        .collect();
+    if ratios.is_empty() {
+        return Ok(None);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
+    if median < MIN_KERNEL_SPEEDUP {
         return Err(format!(
-            "trajectory shrank from {} to {} entries; recordings must append, never drop",
-            old_entries.len(),
-            new_entries.len()
+            "kernel gate failed: CountMin's batch kernel is only {median:.2}x as fast as \
+             its per-item loop (median over the streams; needs {MIN_KERNEL_SPEEDUP}x)"
         ));
     }
-    for (i, (old, new)) in old_entries.iter().zip(new_entries).enumerate() {
-        if old != new {
-            return Err(format!(
-                "trajectory entry {i} was rewritten:\n  recorded: {old}\n  new:      {new}\n\
-                 recordings must carry prior entries forward verbatim"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The `countmin` items/sec of the *last* trajectory entry in an existing record —
-/// the reference the CI throughput-regression gate compares a fresh measurement
-/// against.  `None` when the record predates the trajectory format or the last
-/// entry carries no CountMin cell.
-pub fn last_trajectory_countmin(old_json: &str) -> Option<f64> {
-    let entries = trajectory_inner(old_json)?;
-    let last = entries.last()?;
-    let idx = last.find("\"countmin\": ")?;
-    let rest = &last[idx + "\"countmin\": ".len()..];
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    num.parse().ok()
-}
-
-/// Extracts `items_per_sec` of a `(algorithm prefix, tracker, stream prefix)` row
-/// from an existing record (rows without a `"mode"` field — the pre-batch-kernel
-/// format — are treated as batch rows, which is what `process_stream` measured).
-pub fn extract_cell(old_json: &str, algorithm: &str, tracker: &str, stream: &str) -> Option<f64> {
-    for line in old_json.lines() {
-        if line.contains(&format!("\"algorithm\": \"{algorithm}"))
-            && line.contains(&format!("\"tracker\": \"{tracker}\""))
-            && line.contains(&format!("\"stream\": \"{stream}"))
-            && (!line.contains("\"mode\":") || line.contains("\"mode\": \"batch\""))
-        {
-            let idx = line.find("\"items_per_sec\": ")?;
-            let rest = &line[idx + "\"items_per_sec\": ".len()..];
-            let num: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.')
-                .collect();
-            return num.parse().ok();
-        }
-    }
-    None
+    Ok(Some(median))
 }
 
 /// The measured registry ids — the constructor bodies live in [`crate::registry`]
@@ -446,20 +356,21 @@ pub fn run(scale: Scale, mode: Mode, lanes: Option<usize>) -> (Table, Report) {
         rows: Vec::new(),
     };
 
+    let modes: Vec<&'static str> = ["batch", "item"]
+        .into_iter()
+        .filter(|m| mode.includes(m))
+        .collect();
     for &id in CASES {
         let make = spec(id)
             .unwrap_or_else(|| panic!("unknown registry id {id}"))
             .make;
         for (label, universe, stream) in &streams {
-            for run_mode in ["batch", "item"] {
-                if !mode.includes(run_mode) {
-                    continue;
-                }
-                let mut best = f64::INFINITY;
-                let mut state_changes = 0;
-                let mut algorithm = String::new();
-                // One warm-up + `samples` timed runs, each on a fresh instance.
-                for sample in 0..=samples {
+            let mut best = vec![f64::INFINITY; modes.len()];
+            let mut outcome = vec![(String::new(), 0); modes.len()];
+            // One warm-up + `samples` timed runs per mode, each on a fresh
+            // instance, the modes interleaved sample by sample.
+            for sample in 0..=samples {
+                for (k, &run_mode) in modes.iter().enumerate() {
                     let ctx = MakeCtx::new(*universe, stream.len()).with_lanes(lanes);
                     let mut alg = make(&ctx);
                     let start = Instant::now();
@@ -473,11 +384,14 @@ pub fn run(scale: Scale, mode: Mode, lanes: Option<usize>) -> (Table, Report) {
                     }
                     let elapsed = start.elapsed().as_secs_f64();
                     if sample > 0 {
-                        best = best.min(elapsed);
+                        best[k] = best[k].min(elapsed);
                     }
-                    state_changes = alg.report().state_changes;
-                    algorithm = alg.name().to_string();
+                    outcome[k] = (alg.name().to_string(), alg.report().state_changes);
                 }
+            }
+            for ((&run_mode, best), (algorithm, state_changes)) in
+                modes.iter().zip(best).zip(outcome)
+            {
                 report.rows.push(Row {
                     algorithm,
                     tracker: "full",
@@ -522,6 +436,38 @@ pub fn run(scale: Scale, mode: Mode, lanes: Option<usize>) -> (Table, Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{check_keys, trajectory_inner};
+
+    /// A report over `rows`, without streams unless a row names one.
+    fn report(lane_width: usize, rows: Vec<Row>) -> Report {
+        let mut streams: Vec<(String, usize, usize)> = Vec::new();
+        for r in &rows {
+            if !streams.iter().any(|(s, _, _)| *s == r.stream) {
+                streams.push((r.stream.clone(), 1, r.items));
+            }
+        }
+        Report {
+            scale: "Quick",
+            samples: 1,
+            host_cores: 1,
+            lane_width,
+            streams,
+            rows,
+        }
+    }
+
+    fn row(algorithm: &str, stream: &str, mode: &'static str, ips: f64, sc: u64) -> Row {
+        Row {
+            algorithm: algorithm.into(),
+            tracker: "full",
+            stream: stream.into(),
+            mode,
+            items: 10,
+            best_elapsed_s: 10.0 / ips,
+            items_per_sec: ips,
+            state_changes: sc,
+        }
+    }
 
     #[test]
     fn quick_sweep_measures_every_cell_in_both_modes() {
@@ -540,18 +486,13 @@ mod tests {
         divergence_check(&report).expect("batch kernels must not diverge");
 
         let entry = report.trajectory_entry("2026-01-01", "test");
-        let json = report.to_json(Some(head.items_per_sec / 2.0), std::slice::from_ref(&entry));
-        assert!(json.contains("\"speedup_vs_pre_pr\": 2.00"));
+        let json = report.to_json(std::slice::from_ref(&entry));
         assert!(json.contains("\"experiment\": \"throughput\""));
         assert!(json.contains("\"trajectory\": ["));
-        schema_check(&json, Mode::Both).expect("emitted JSON must satisfy the schema");
+        check_keys(&json, &schema_keys(Mode::Both)).expect("emitted JSON must satisfy the schema");
 
         // The trajectory round-trips through the carry-forward extractor.
-        let carried = trajectory_inner(&json).expect("trajectory array present");
-        assert_eq!(carried, vec![entry]);
-        // Cells extract from our own format.
-        assert!(extract_cell(&json, "CountMin", "full", "zipf").is_some());
-        assert_eq!(extract_cell(&json, "NoSuchAlgorithm", "full", "zipf"), None);
+        assert_eq!(trajectory_inner(&json), Some(vec![entry]));
     }
 
     #[test]
@@ -560,133 +501,89 @@ mod tests {
         assert!(report.rows.iter().all(|r| r.mode == "batch"));
         assert_eq!(report.rows.len(), CASES.len() * 3);
         assert_eq!(report.lane_width, 1, "--lanes override is recorded");
-        assert!(Mode::parse("nope").is_none());
-        assert_eq!(Mode::parse("item"), Some(Mode::Item));
-        assert_eq!(Mode::parse("both"), Some(Mode::Both));
+        assert!("nope".parse::<Mode>().is_err());
+        assert_eq!("item".parse(), Ok(Mode::Item));
+        assert_eq!("both".parse(), Ok(Mode::Both));
     }
 
     #[test]
     fn item_only_records_satisfy_the_schema_without_a_headline() {
         // An item-only run has no batch rows, hence no headline block; its record is
-        // nevertheless valid (regression: schema_check used to demand the headline
-        // unconditionally, failing every advertised `--mode item` run).
+        // nevertheless valid (regression: the schema check used to demand the
+        // headline unconditionally, failing every advertised `--mode item` run).
         let (_, report) = run(Scale::Quick, Mode::Item, None);
         assert!(report.headline().is_none());
         let entry = report.trajectory_entry("2026-01-01", "item-only");
-        let json = report.to_json(None, std::slice::from_ref(&entry));
-        schema_check(&json, Mode::Item).expect("item-only record must be schema-valid");
-        assert!(schema_check(&json, Mode::Both).is_err(), "no batch rows");
+        let json = report.to_json(std::slice::from_ref(&entry));
+        check_keys(&json, &schema_keys(Mode::Item)).expect("item-only record must be schema-valid");
+        assert!(
+            check_keys(&json, &schema_keys(Mode::Both)).is_err(),
+            "no batch rows"
+        );
     }
 
     #[test]
     fn trajectory_labels_are_sanitized_for_the_handrolled_writer() {
-        let report = Report {
-            scale: "Quick",
-            samples: 1,
-            host_cores: 1,
-            lane_width: 8,
-            streams: vec![],
-            rows: vec![],
-        };
+        let report = report(8, vec![]);
         let entry = report.trajectory_entry("2026-01-01", "PR 5 \"batch\" [wip]\\x");
         assert!(entry.contains("PR 5 _batch_ _wip__x"), "entry: {entry}");
         // The sanitized entry survives the write → carry-forward round trip even
         // though the writer and parser are hand-rolled.
-        let json = report.to_json(None, std::slice::from_ref(&entry));
+        let json = report.to_json(std::slice::from_ref(&entry));
         assert_eq!(trajectory_inner(&json), Some(vec![entry]));
     }
 
     #[test]
     fn divergence_check_catches_a_mismatched_cell() {
-        let mk = |mode: &'static str, sc: u64| Row {
-            algorithm: "X".into(),
-            tracker: "full",
-            stream: "zipf".into(),
-            mode,
-            items: 10,
-            best_elapsed_s: 1.0,
-            items_per_sec: 10.0,
-            state_changes: sc,
+        let cells = |batch, item| {
+            vec![
+                row("X", "zipf", "batch", 10.0, batch),
+                row("X", "zipf", "item", 10.0, item),
+            ]
         };
-        let report = Report {
-            scale: "Quick",
-            samples: 1,
-            host_cores: 1,
-            lane_width: 8,
-            streams: vec![],
-            rows: vec![mk("batch", 5), mk("item", 6)],
+        assert!(divergence_check(&report(8, cells(5, 6))).is_err());
+        assert!(divergence_check(&report(8, cells(5, 5))).is_ok());
+    }
+
+    #[test]
+    fn kernel_gate_holds_the_batch_over_item_ratio_at_the_default_width() {
+        let width = fsc_counters::lanes::DEFAULT_LANE_WIDTH;
+        // CountMin at `ratio`x on every stream, next to a slow algorithm the gate ignores.
+        let cells = |ratio: f64| -> Vec<Row> {
+            ["zipf-1.1", "uniform", "netflow"]
+                .into_iter()
+                .flat_map(|s| {
+                    [
+                        row("CountMin(4x1024)", s, "batch", ratio * 1e6, 1),
+                        row("CountMin(4x1024)", s, "item", 1e6, 1),
+                        row("AMS(5x48)", s, "batch", 1e6, 1),
+                        row("AMS(5x48)", s, "item", 1e6, 1),
+                    ]
+                })
+                .collect()
         };
-        assert!(divergence_check(&report).is_err());
-        let ok = Report {
-            scale: "Quick",
-            samples: 1,
-            host_cores: 1,
-            lane_width: 8,
-            streams: vec![],
-            rows: vec![mk("batch", 5), mk("item", 5)],
-        };
-        assert!(divergence_check(&ok).is_ok());
+        let ratio = kernel_gate(&report(width, cells(1.7))).expect("1.7x passes");
+        assert!((ratio.expect("the gate applies") - 1.7).abs() < 1e-9);
+        let err = kernel_gate(&report(width, cells(1.5))).expect_err("1.5x fails");
+        assert!(err.contains("1.50x"), "{err}");
+
+        // The median, not the worst stream, decides.
+        let mut one_slow = cells(1.7);
+        one_slow[0].items_per_sec = 1.1e6;
+        assert!(kernel_gate(&report(width, one_slow)).is_ok());
+
+        // The gate does not apply to the scalar kernels or to single-mode runs.
+        assert_eq!(kernel_gate(&report(1, cells(1.3))), Ok(None));
+        let batch_only = cells(1.0)
+            .into_iter()
+            .filter(|r| r.mode == "batch")
+            .collect();
+        assert_eq!(kernel_gate(&report(width, batch_only)), Ok(None));
     }
 
     #[test]
     fn schema_check_rejects_incomplete_json() {
-        assert!(schema_check("{}", Mode::Batch).is_err());
-        assert!(schema_check("", Mode::Both).is_err());
-    }
-
-    #[test]
-    fn append_only_guard_rejects_rewrites_and_drops() {
-        let old = vec!["{\"a\": 1}".to_string(), "{\"b\": 2}".to_string()];
-        let appended = vec![old[0].clone(), old[1].clone(), "{\"c\": 3}".to_string()];
-        assert!(assert_append_only(&old, &appended).is_ok());
-        assert!(
-            assert_append_only(&old, &old).is_ok(),
-            "no-op carry-forward"
-        );
-        assert!(assert_append_only(&[], &appended).is_ok(), "fresh record");
-
-        let dropped = vec![old[0].clone()];
-        assert!(
-            assert_append_only(&old, &dropped).is_err(),
-            "shrunk history"
-        );
-        let rewritten = vec![old[0].clone(), "{\"b\": 99}".to_string()];
-        assert!(
-            assert_append_only(&old, &rewritten).is_err(),
-            "rewritten entry"
-        );
-        let reordered = vec![old[1].clone(), old[0].clone()];
-        assert!(assert_append_only(&old, &reordered).is_err(), "reordered");
-    }
-
-    #[test]
-    fn regression_reference_is_the_last_trajectory_entry() {
-        let json = r#"{
-  "trajectory": [
-    {"date": "2026-07-01", "label": "old", "countmin": 1000000, "ams": 50},
-    {"date": "2026-08-01", "label": "new", "countmin": 2000000, "ams": 60}
-  ]
-}"#;
-        assert_eq!(last_trajectory_countmin(json), Some(2_000_000.0));
-        assert_eq!(last_trajectory_countmin("{}"), None, "no trajectory");
-        let null_cell = r#"{
-  "trajectory": [
-    {"date": "2026-07-01", "label": "x", "countmin": null}
-  ]
-}"#;
-        assert_eq!(last_trajectory_countmin(null_cell), None, "null cell");
-    }
-
-    #[test]
-    fn trajectory_extraction_handles_the_pre_trajectory_format() {
-        // The PR 3 recording had rows but no trajectory array and no mode field.
-        let old = r#"{
-  "rows": [
-    {"algorithm": "AMS(5x48)", "tracker": "full", "stream": "zipf-1.1", "items": 262144, "best_elapsed_s": 0.791214, "items_per_sec": 331319, "state_changes": 262144}
-  ]
-}"#;
-        assert_eq!(trajectory_inner(old), None);
-        assert_eq!(extract_cell(old, "AMS", "full", "zipf"), Some(331319.0));
-        assert_eq!(extract_cell(old, "AMS", "lean", "zipf"), None);
+        assert!(check_keys("{}", &schema_keys(Mode::Batch)).is_err());
+        assert!(check_keys("", &schema_keys(Mode::Both)).is_err());
     }
 }

@@ -14,7 +14,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod experiments;
+pub mod record;
 pub mod registry;
 pub mod table;
 
@@ -31,15 +33,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses the scale from process arguments (`--quick` selects [`Scale::Quick`]).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Picks between the quick and full value.
     pub fn pick<T>(self, quick: T, full: T) -> T {
         match self {
@@ -47,36 +40,6 @@ impl Scale {
             Scale::Full => full,
         }
     }
-}
-
-/// Parses `--threads N` from the process arguments (defaults to 1 — serial), and
-/// exits with status 2 and a message when the value is missing, not a number, or 0.
-///
-/// Used by `run_all` to run independent experiment cells concurrently via
-/// [`parallel_map`]; each experiment stays internally deterministic, so the printed
-/// tables are identical at every thread count.
-pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    parse_threads(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// The pure parser behind [`threads_from_args`]: `Ok(1)` without `--threads`, the
-/// value when it is a positive integer, and an error naming the bad value otherwise.
-pub fn parse_threads(args: &[String]) -> Result<usize, String> {
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Ok(1);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or("--threads expects a positive integer")?;
-    value
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| format!("--threads expects a positive integer, got {value:?}"))
 }
 
 /// Applies `f` to every item on up to `threads` worker threads, preserving input order
@@ -172,21 +135,6 @@ mod tests {
         let inline = parallel_map(vec![1, 2, 3], 1, |i, x| (i, x));
         assert_eq!(inline, vec![(0, 1), (1, 2), (2, 3)]);
         assert!(parallel_map(Vec::<u64>::new(), 4, |_, x| x).is_empty());
-    }
-
-    #[test]
-    fn threads_flag_accepts_a_positive_count_and_rejects_the_rest() {
-        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_threads(&args(&["run_all", "--quick"])), Ok(1));
-        assert_eq!(parse_threads(&args(&["run_all", "--threads", "4"])), Ok(4));
-        for bad in [
-            &["run_all", "--threads", "0"][..],
-            &["run_all", "--threads", "x"],
-            &["run_all", "--quick", "--threads"],
-        ] {
-            let err = parse_threads(&args(bad)).unwrap_err();
-            assert!(err.contains("--threads"), "{bad:?}: {err}");
-        }
     }
 
     #[test]

@@ -134,9 +134,10 @@ impl ServerConfig {
         self
     }
 
-    /// Replaces the group-commit window (0 behaves as 1: sync every append).
+    /// Replaces the group-commit window, clamped to at least 1 (sync every
+    /// append), so the reported window is the effective one.
     pub fn with_group_commit(mut self, appends: u64) -> Self {
-        self.group_commit = appends;
+        self.group_commit = appends.max(1);
         self
     }
 }
@@ -874,4 +875,24 @@ fn status(shared: &Shared) -> Response {
         failed_tenants: shared.failed_tenants.load(Ordering::SeqCst) as u64,
         tenants: rows,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn config_knobs_clamp_to_their_effective_values() {
+        let config = ServerConfig::new("unused")
+            .with_group_commit(0)
+            .with_max_inflight_ingest(0);
+        assert_eq!(config.group_commit, 1, "0 syncs every append, like 1");
+        assert_eq!(config.max_inflight_ingest, 1);
+        assert_eq!(
+            ServerConfig::new("unused")
+                .with_group_commit(16)
+                .group_commit,
+            16
+        );
+    }
 }
