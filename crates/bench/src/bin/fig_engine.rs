@@ -15,14 +15,19 @@
 //! that never exercised the checkpoint path — or if the standalone delta-curve
 //! sweep stops telling the paper's story: at least one few-state-change algorithm
 //! must persist measurably sublinearly and clearly beat the write-heaviest
-//! baseline.  The emitted JSON is schema-checked.  CI runs `--quick`, so a
-//! regression in the snapshot/delta/merge layers fails the build here rather than
-//! in a downstream consumer.
+//! baseline — or if the same-run engine-overhead gate fails: a 4-shard
+//! `Engine<CountMin>` ingest of a 1024-item batch may cost at most
+//! `MAX_ENGINE_OVERHEAD` times the bare kernel on the same batch (median over
+//! the batches, the two sides alternating).  The emitted JSON is
+//! schema-checked.  CI runs `--quick`, so a regression in the
+//! snapshot/delta/merge layers or on the engine's ingest path fails the build
+//! here rather than in a downstream consumer.
 //!
 //! The record is written through `fsc_bench::record`.
 
 use fsc_bench::experiments::engine::{
-    curves_check, curves_table, delta_curves, equivalence_check, run, to_json, SCHEMA_KEYS,
+    curves_check, curves_table, delta_curves, engine_overhead, equivalence_check, overhead_gate,
+    run, to_json, MAX_ENGINE_OVERHEAD, OVERHEAD_BATCH, SCHEMA_KEYS,
 };
 use fsc_bench::{cli, record};
 
@@ -58,6 +63,20 @@ fn main() {
         "curves check: few-state-change algorithms persist sublinearly and beat the \
          write-heavy baselines on checkpoint bytes"
     );
+
+    let ratios = engine_overhead(scale);
+    match overhead_gate(&ratios) {
+        Ok(median) => println!(
+            "engine gate: engine/kernel ingest = {median:.2}x (median over {} batches of \
+             {OVERHEAD_BATCH}; allows {MAX_ENGINE_OVERHEAD}x; {} core(s) detected) — ok",
+            ratios.len(),
+            fsc_engine::detected_cores()
+        ),
+        Err(err) => {
+            eprintln!("error: {err}");
+            std::process::exit(1);
+        }
+    }
 
     record::write(&out, &to_json(scale, &rows, &curves), SCHEMA_KEYS);
 }

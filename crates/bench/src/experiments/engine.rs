@@ -26,11 +26,13 @@
 //! checkpoint — the paper's thesis as a persistence bill: algorithms with few state
 //! changes persist sublinearly, write-heavy baselines do not.
 
+use std::time::Instant;
+
 use fsc_engine::{CheckpointMode, EngineConfig, Routing, Scenario, Segment, Workload};
 use fsc_state::{Answer, CheckpointChain, Query};
 use fsc_streamgen::zipf::zipf_stream;
 
-use crate::registry::{engine_specs, registry, AlgorithmSpec, MakeCtx, Merge};
+use crate::registry::{engine_specs, registry, spec, AlgorithmSpec, MakeCtx, Merge};
 use crate::table::{f, Table};
 use crate::Scale;
 
@@ -623,6 +625,75 @@ pub fn curves_check(rows: &[CurveRow]) -> Result<(), String> {
     Ok(())
 }
 
+/// Items per batch in the engine-overhead gate: one serve ingest request.
+pub const OVERHEAD_BATCH: usize = 1024;
+
+/// The most a [`SHARDS`]-shard `Engine<CountMin>` ingest may cost over the bare
+/// CountMin kernel fed the same batch: the median per-batch time ratio in
+/// [`engine_overhead`].
+///
+/// Quick runs on a 2-vCPU host read 1.14–1.16 with the host core count cached
+/// once per process, and 1.72–1.79 when `Engine::ingest` queried it on every
+/// batch (a 13 µs syscall and cgroup read each time; 10 runs each).
+pub const MAX_ENGINE_OVERHEAD: f64 = 1.4;
+
+/// Per-batch engine/kernel time ratios, measured in one run: perfbench-style
+/// zipf batches of [`OVERHEAD_BATCH`] items go through the serve tenant's
+/// engine (the registry's `count_min` over [`SHARDS`] shards, default config)
+/// and through one bare CountMin `process_batch`, alternating batch by batch
+/// and swapping which side goes first, so a change in host speed hits both.
+pub fn engine_overhead(scale: Scale) -> Vec<f64> {
+    let universe = 1 << 14;
+    let stream = zipf_stream(universe, scale.pick(1024, 4096) * OVERHEAD_BATCH, 1.1, 1);
+    let ctx = MakeCtx::new(universe, stream.len());
+    let count_min = spec("count_min").expect("count_min is registered");
+    let config = EngineConfig {
+        shards: SHARDS,
+        ..EngineConfig::default()
+    };
+    let mut engine = (count_min.engine.expect("count_min is engine-capable"))(&ctx, config);
+    let mut kernel = (count_min.make)(&ctx);
+    let timed = |f: &mut dyn FnMut()| {
+        let began = Instant::now();
+        f();
+        began.elapsed().as_secs_f64()
+    };
+    stream
+        .chunks(OVERHEAD_BATCH)
+        .enumerate()
+        .map(|(b, batch)| {
+            let mut ingest = || engine.ingest(batch);
+            let mut process = || kernel.process_batch(batch);
+            let (engine_s, kernel_s) = if b % 2 == 0 {
+                let e = timed(&mut ingest);
+                (e, timed(&mut process))
+            } else {
+                let k = timed(&mut process);
+                (timed(&mut ingest), k)
+            };
+            engine_s / kernel_s.max(1e-9)
+        })
+        .collect()
+}
+
+/// The same-run engine-overhead gate: the median of the per-batch ratios must
+/// not exceed [`MAX_ENGINE_OVERHEAD`].  Returns the median.
+pub fn overhead_gate(ratios: &[f64]) -> Result<f64, String> {
+    let mut sorted = ratios.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let Some(&median) = sorted.get(sorted.len() / 2) else {
+        return Err("engine gate: no batches measured".to_string());
+    };
+    if median > MAX_ENGINE_OVERHEAD {
+        return Err(format!(
+            "engine gate failed: a {SHARDS}-shard engine ingest costs {median:.2}x the bare \
+             CountMin kernel (median over {} batches; allows {MAX_ENGINE_OVERHEAD}x)",
+            ratios.len()
+        ));
+    }
+    Ok(median)
+}
+
 fn curve_points_json(points: &[CurvePoint]) -> String {
     let body: Vec<String> = points
         .iter()
@@ -713,6 +784,17 @@ pub const SCHEMA_KEYS: &[&str] = &[
 mod tests {
     use super::*;
     use crate::record::check_keys;
+
+    #[test]
+    fn overhead_gate_holds_the_median_engine_over_kernel_ratio() {
+        assert_eq!(overhead_gate(&[1.2; 5]), Ok(1.2));
+        let err = overhead_gate(&[1.6; 5]).expect_err("1.6x fails");
+        assert!(err.contains("1.60x"), "{err}");
+        // The median decides, not the worst or the best sample.
+        assert_eq!(overhead_gate(&[1.1, 9.0, 1.2, 1.3, 7.5]), Ok(1.3));
+        assert!(overhead_gate(&[1.0, 1.6, 1.7, 0.9, 1.5]).is_err());
+        assert!(overhead_gate(&[]).is_err());
+    }
 
     #[test]
     fn quick_matrix_covers_every_engine_spec_and_scenario_and_holds_the_laws() {

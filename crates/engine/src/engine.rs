@@ -1,7 +1,7 @@
 //! The sharded engine: replica ownership, routing, cached merged queries,
 //! checkpoints.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use fsc_state::delta::{encode_delta, BaseRef, CheckpointChain};
 use fsc_state::snapshot::{SnapshotReader, SnapshotWriter, TrackerState};
@@ -58,11 +58,13 @@ pub struct EngineConfig {
     /// Tracker kind each shard's summary is constructed with.
     pub tracker: TrackerKind,
     /// Worker budget for the threaded ingest drain: `None` (the default) sizes it
-    /// from [`detected_cores`], so a 1-CPU host never pays thread-spawn overhead
+    /// from [`detected_cores`] — read once per process, so a later CPU-quota
+    /// change is not seen — and a 1-CPU host never pays thread-spawn overhead
     /// for workers that cannot run concurrently.  A runtime performance knob, not
-    /// engine state — it is not serialized, and a restored engine reverts to
-    /// `None` (answers and accounting are identical either way; only wall-clock
-    /// changes).  Tests force `Some(n)` to exercise the threaded path on any host.
+    /// engine state — it is not serialized: [`Engine::restore`] sets `None` and
+    /// [`Engine::restore_from`] keeps the live value (answers and accounting are
+    /// identical either way; only wall-clock changes).  Tests force `Some(n)` to
+    /// exercise the threaded path on any host.
     pub ingest_threads: Option<usize>,
 }
 
@@ -81,10 +83,17 @@ impl Default for EngineConfig {
 /// (1 when detection fails).  Sizes the engine's threaded ingest gate and is
 /// recorded in the throughput experiment's JSON so numbers from a 1-CPU container
 /// are never mistaken for multi-core ones.
+///
+/// Read once per process and cached: on Linux the query is an affinity syscall
+/// plus cgroup-quota file reads, which cost more than a small batch kernel.  A
+/// CPU-quota or affinity change after the first call is therefore not seen.
 pub fn detected_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The threaded-ingest gate, as a pure function of the three quantities that decide
@@ -206,12 +215,13 @@ impl<A: EngineAlgorithm> Engine<A> {
     /// its sub-batch through the specialized batch kernels.  Small batches run in
     /// shard order on the calling thread; once the largest routed sub-batch
     /// clears the parallel-ingest threshold (8 Ki items) **and** the worker budget
-    /// ([`EngineConfig::ingest_threads`], by default the host's [`detected_cores`])
-    /// exceeds one, the shards drain concurrently on [`std::thread::scope`] workers
-    /// (shards own disjoint state, so the result is observably identical either
-    /// way — pinned by the parallel-ingest law test).  The threshold keeps the
-    /// thread-spawn cost out of the latency-sensitive small-batch path, and the
-    /// core gate keeps it off single-CPU hosts where workers cannot overlap.
+    /// ([`EngineConfig::ingest_threads`], by default the host's [`detected_cores`],
+    /// read once per process) exceeds one, the shards drain concurrently on
+    /// [`std::thread::scope`] workers (shards own disjoint state, so the result
+    /// is observably identical either way — pinned by the parallel-ingest law
+    /// test).  The threshold keeps the thread-spawn cost out of the
+    /// latency-sensitive small-batch path, and the core gate keeps it off
+    /// single-CPU hosts where workers cannot overlap.
     pub fn ingest(&mut self, items: &[u64]) {
         match self.config.routing {
             Routing::RoundRobin => {
@@ -473,7 +483,7 @@ impl<A: EngineAlgorithm> Engine<A> {
 
     /// Replaces this engine's state with a restored checkpoint in place (the
     /// failover verb: a fresh process constructs an engine and restores into
-    /// it).  Two things survive the swap that a plain [`Engine::restore`]
+    /// it).  Three things survive the swap that a plain [`Engine::restore`]
     /// would discard:
     ///
     /// * **Reader handles** — the serving view cell is kept, so
@@ -485,6 +495,8 @@ impl<A: EngineAlgorithm> Engine<A> {
     ///   above its pre-restore value.  Any stamp issued before the restore —
     ///   including the kept view's — therefore compares stale, and the first
     ///   post-restore query rebuilds: a restore is a state mutation.
+    /// * **The worker budget** — [`EngineConfig::ingest_threads`] is not in the
+    ///   checkpoint, so the live engine's value is kept rather than compared.
     ///
     /// Restoring is only meaningful between *twins*: a checkpoint from a
     /// different summary type fails with the nested shard's typed
@@ -496,6 +508,9 @@ impl<A: EngineAlgorithm> Engine<A> {
     pub fn restore_from(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let before = self.generation();
         let mut restored = Engine::<A>::restore(bytes)?;
+        // `ingest_threads` is a runtime knob the checkpoint does not carry: the
+        // live engine's value is kept, and only the serialized fields must pair.
+        restored.config.ingest_threads = self.config.ingest_threads;
         if restored.config != self.config {
             return Err(SnapshotError::ConfigMismatch {
                 what: "engine config",
@@ -882,6 +897,23 @@ mod tests {
             }
             other => panic!("config mismatch must fail typed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn restore_from_accepts_its_own_checkpoint_with_a_worker_budget_set() {
+        let config = EngineConfig {
+            ingest_threads: Some(4),
+            ..EngineConfig::default()
+        };
+        let mut engine = count_min_engine(config);
+        engine.ingest(&[1, 2, 3]);
+        let bytes = engine.checkpoint();
+        engine
+            .restore_from(&bytes)
+            .expect("an engine restores its own checkpoint");
+        assert_eq!(engine.config(), &config, "the live worker budget survives");
+        assert_eq!(engine.ingested(), 3);
+        assert_eq!(engine.checkpoint(), bytes);
     }
 
     #[test]

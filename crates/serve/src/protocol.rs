@@ -34,6 +34,12 @@ pub const FRAME_ID: &str = "fsc_serve_frame";
 /// an allocation.
 pub const MAX_FRAME: usize = 16 << 20;
 
+/// Upper bound on a tenant's shard count.  `CreateTenant` above it is refused
+/// with a typed [`ServeError::Protocol`] before anything is built, so one frame
+/// cannot make the server allocate billions of summaries and take every tenant
+/// down with it; boot recovery refuses a tenant whose meta exceeds it.
+pub const MAX_TENANT_SHARDS: u32 = 64;
+
 /// What went wrong reading a frame off a stream.
 #[derive(Debug)]
 pub enum FrameError {
@@ -197,7 +203,7 @@ pub enum Request {
         tenant: String,
         /// Registry id, e.g. `"count_min"`.
         algorithm: String,
-        /// Shard count (≥ 1).
+        /// Shard count (0 is read as 1; at most [`MAX_TENANT_SHARDS`]).
         shards: u32,
     },
     /// Appends a batch under an idempotency sequence number: batches must arrive

@@ -59,7 +59,7 @@ use fsc_state::delta::{encode_delta, CheckpointChain};
 use crate::faults::{CrashPoint, FaultPlan};
 use crate::protocol::{
     read_frame, valid_tenant_name, write_frame, FrameError, Request, Response, ServeError,
-    ServerStatus, TenantStats, TenantStatus,
+    ServerStatus, TenantStats, TenantStatus, MAX_TENANT_SHARDS,
 };
 use crate::storage::{
     list_tenants, load_tenant, RecoveryReport, TenantMeta, TenantOutcome, TenantRecovery,
@@ -424,9 +424,9 @@ fn recover_tenant(shared: &Shared, name: &str) -> TenantOutcome {
         Ok(loaded) => loaded,
         Err(error) => return TenantOutcome::Failed { error },
     };
-    let config = EngineConfig {
-        shards: (loaded.meta.shards as usize).max(1),
-        ..EngineConfig::default()
+    let config = match tenant_config(loaded.meta.shards) {
+        Ok(config) => config,
+        Err(error) => return TenantOutcome::Failed { error },
     };
     let Some(mut engine) = (shared.factory)(&loaded.meta.algorithm, config) else {
         return TenantOutcome::Failed {
@@ -654,15 +654,30 @@ fn handle_request(shared: &Shared, request: Request) -> (Response, Control) {
     }
 }
 
+/// The engine config of a tenant with `shards` shards (0 reads as 1), or why
+/// the count is refused: above [`MAX_TENANT_SHARDS`], checked before any
+/// summary is built.
+fn tenant_config(shards: u32) -> Result<EngineConfig, String> {
+    if shards > MAX_TENANT_SHARDS {
+        return Err(format!(
+            "{shards} shards exceeds the maximum of {MAX_TENANT_SHARDS}"
+        ));
+    }
+    Ok(EngineConfig {
+        shards: (shards as usize).max(1),
+        ..EngineConfig::default()
+    })
+}
+
 fn create_tenant(shared: &Shared, tenant: &str, algorithm: &str, shards: u32) -> Response {
     if !valid_tenant_name(tenant) {
         return Response::Error(ServeError::Protocol(format!(
             "invalid tenant name {tenant:?}"
         )));
     }
-    let config = EngineConfig {
-        shards: (shards as usize).max(1),
-        ..EngineConfig::default()
+    let config = match tenant_config(shards) {
+        Ok(config) => config,
+        Err(error) => return Response::Error(ServeError::Protocol(error)),
     };
     let mut map = shared.tenants.write().unwrap();
     if map.contains_key(tenant) {

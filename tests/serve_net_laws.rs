@@ -12,8 +12,10 @@
 //!   refused, no client-side replay needed.
 //! * **Idempotency** — re-sending an applied batch acks without re-applying.
 //! * **Graceful degradation** — excess ingest is shed with typed `Overloaded`
-//!   while readers keep answering off the cached view, and a corrupt tenant
-//!   fails alone: its neighbors recover and serve.
+//!   while readers keep answering off the cached view, a corrupt tenant
+//!   fails alone (its neighbors recover and serve), and a `CreateTenant` asking
+//!   for more than `MAX_TENANT_SHARDS` shards is refused typed without
+//!   disturbing its neighbors.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -24,8 +26,10 @@ use fsc_bench::registry::serve_factory;
 use fsc_engine::EngineConfig;
 use fsc_serve::faults::splitmix64;
 use fsc_serve::protocol::{read_frame, write_frame, Request, Response, ServeError, MAX_FRAME};
-use fsc_serve::storage::TenantOutcome;
-use fsc_serve::{Client, ClientConfig, FaultPlan, Server, ServerConfig, ServerHandle};
+use fsc_serve::storage::{TenantMeta, TenantOutcome};
+use fsc_serve::{
+    Client, ClientConfig, FaultPlan, Server, ServerConfig, ServerHandle, MAX_TENANT_SHARDS,
+};
 use fsc_state::{Answer, Query};
 use proptest::prelude::*;
 
@@ -543,6 +547,56 @@ fn a_corrupt_tenant_fails_alone_and_its_neighbors_recover() {
         }
         other => panic!("expected UnknownTenant for the failed tenant, got {other:?}"),
     }
+    server.stop().expect("stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_oversized_shard_count_is_refused_typed_and_neighbors_keep_serving() {
+    let dir = tmp_dir("shard-bound");
+    let server = start(&dir, FaultPlan::none(), 64);
+    let mut c = client(&server);
+    for tenant in ["neighbor", "bloated"] {
+        c.create_tenant(tenant, "count_min", 1).expect("create");
+    }
+    assert!(c.ingest("neighbor", 0, &[5, 5]).expect("ingest"));
+
+    match c.create_tenant("greedy", "count_min", MAX_TENANT_SHARDS + 1) {
+        Err(fsc_serve::ClientError::Server(ServeError::Protocol(msg))) => {
+            assert!(msg.contains("maximum"), "refusal names the bound: {msg}")
+        }
+        other => panic!("expected a typed shard-count refusal, got {other:?}"),
+    }
+    match c.query("greedy", Query::Point(5)) {
+        Err(fsc_serve::ClientError::Server(ServeError::UnknownTenant(name))) => {
+            assert_eq!(name, "greedy", "a refused create provisions nothing")
+        }
+        other => panic!("expected UnknownTenant for the refused tenant, got {other:?}"),
+    }
+    assert!(c.ingest("neighbor", 1, &[5]).expect("ingest after refusal"));
+    server.stop().expect("stop");
+
+    // A meta record over the bound fails its tenant alone at recovery, before
+    // any summary is built.
+    let meta = TenantMeta {
+        algorithm: "count_min".into(),
+        shards: MAX_TENANT_SHARDS + 1,
+    };
+    std::fs::write(dir.join("bloated").join("meta.fscs"), meta.encode()).expect("rewrite meta");
+    let (server, report) = restart(&dir);
+    assert_eq!(report.recovered(), 1, "{report}");
+    assert_eq!(report.failed(), 1, "{report}");
+    assert!(
+        report.tenants.iter().any(|t| t.tenant == "bloated"
+            && matches!(&t.outcome, TenantOutcome::Failed { error } if error.contains("maximum"))),
+        "{report}"
+    );
+    assert_eq!(
+        client(&server)
+            .query("neighbor", Query::Point(5))
+            .expect("neighbor serves"),
+        Answer::Scalar(3.0)
+    );
     server.stop().expect("stop");
     let _ = std::fs::remove_dir_all(&dir);
 }
