@@ -144,20 +144,25 @@ impl Client {
     /// Any transport failure poisons the connection (the next attempt
     /// reconnects).
     pub fn request_once(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let result = self.request_once_inner(request);
+        self.send_once(&request.encode())
+    }
+
+    /// [`Client::request_once`] for an encoded request payload.
+    fn send_once(&mut self, payload: &[u8]) -> Result<Response, ClientError> {
+        let result = self.send_once_inner(payload);
         if matches!(result, Err(ClientError::Io(_))) {
             self.stream = None;
         }
         result
     }
 
-    fn request_once_inner(&mut self, request: &Request) -> Result<Response, ClientError> {
+    fn send_once_inner(&mut self, payload: &[u8]) -> Result<Response, ClientError> {
         if self.stream.is_none() {
             self.counters.reconnects += 1;
         }
         self.ensure_stream().map_err(ClientError::Io)?;
         let stream = self.stream.as_mut().expect("ensured");
-        write_frame(stream, &request.encode()).map_err(ClientError::Io)?;
+        write_frame(stream, payload).map_err(ClientError::Io)?;
         match read_frame(stream) {
             Ok(Some(payload)) => {
                 Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
@@ -183,6 +188,12 @@ impl Client {
     /// Sends with bounded retries: transport failures and `Overloaded` back off
     /// (exponential, seeded jitter) and retry; every other response returns.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.send(&request.encode())
+    }
+
+    /// [`Client::request`] for an encoded request payload, encoded once for
+    /// every attempt.
+    fn send(&mut self, payload: &[u8]) -> Result<Response, ClientError> {
         let attempts = self.config.retries + 1;
         let mut last = String::new();
         for attempt in 0..attempts {
@@ -193,7 +204,7 @@ impl Client {
                 }
                 std::thread::sleep(self.backoff_delay(attempt));
             }
-            match self.request_once(request) {
+            match self.send_once(payload) {
                 Ok(Response::Error(ServeError::Overloaded)) => {
                     self.counters.overloaded += 1;
                     last = ServeError::Overloaded.to_string();
@@ -241,12 +252,7 @@ impl Client {
     /// (`false` = a retried duplicate had already landed; either way the batch
     /// is in exactly once).
     pub fn ingest(&mut self, tenant: &str, seq: u64, items: &[u64]) -> Result<bool, ClientError> {
-        let request = Request::Ingest {
-            tenant: tenant.into(),
-            seq,
-            items: items.to_vec(),
-        };
-        match self.request(&request)? {
+        match self.send(&Request::encode_ingest(tenant, seq, items))? {
             Response::IngestAck { applied, .. } => {
                 if !applied {
                     self.counters.duplicate_acks += 1;

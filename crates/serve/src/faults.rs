@@ -2,7 +2,8 @@
 //! survive, producible on demand from a seed.
 //!
 //! The plan is *armed*, not random: each knob names one failure class (torn
-//! checkpoint write, dropped connection, stalled reads/ingest) and fires at a
+//! checkpoint write, torn or corrupt journal append, failed journal fsync,
+//! crash point, dropped connection, stalled ingest) and fires at a
 //! configured occurrence count, with any remaining nondeterminism (where a torn
 //! write tears, which byte a corruption flips) drawn from a seeded SplitMix64
 //! stream.  Runs with the same plan and seed inject byte-identical faults, which
@@ -66,6 +67,9 @@ pub struct FaultPlan {
     /// Flip one seeded byte inside the `nth` journal append (1-based).
     corrupt_wal_at: Option<u64>,
     wal_appends: AtomicU64,
+    /// Fail the `nth` journal fsync (1-based).
+    fail_sync_at: Option<u64>,
+    syncs: AtomicU64,
     /// Crash at this point inside the `nth` ingest (1-based).
     crash_at: Option<(CrashPoint, u64)>,
     ingests: AtomicU64,
@@ -113,6 +117,14 @@ impl FaultPlan {
     /// that only the next recovery's checksum pass can see.
     pub fn with_corrupt_wal_record(mut self, nth: u64) -> Self {
         self.corrupt_wal_at = Some(nth);
+        self
+    }
+
+    /// Arms a failed journal fsync: the `nth` fsync an ingest asks for
+    /// (1-based, counted across all tenants) returns an error, as a failing
+    /// disk's `fsync` does. Whether the bytes reached the disk is unknown.
+    pub fn with_failed_sync(mut self, nth: u64) -> Self {
+        self.fail_sync_at = Some(nth);
         self
     }
 
@@ -187,6 +199,15 @@ impl FaultPlan {
             return WalWriteFault::Corrupt(mangled);
         }
         WalWriteFault::Clean
+    }
+
+    /// Called by the journal before each fsync an ingest asks for. Whether
+    /// this one fails: true once, on the armed occurrence.
+    pub fn sync_fails(&self) -> bool {
+        let Some(nth) = self.fail_sync_at else {
+            return false;
+        };
+        self.syncs.fetch_add(1, Ordering::Relaxed) + 1 == nth
     }
 
     /// Journal appends attempted so far (tells a drill whether its fault fired).
@@ -284,6 +305,14 @@ mod tests {
         assert!(!plan.should_drop(u64::MAX));
         assert!(plan.ingest_stall().is_none());
         assert!(!plan.crash_frame_allowed());
+        assert!(!plan.sync_fails());
+    }
+
+    #[test]
+    fn a_failed_sync_fires_exactly_once_at_the_armed_fsync() {
+        let plan = FaultPlan::none().with_failed_sync(2);
+        let fired: Vec<bool> = (0..4).map(|_| plan.sync_fails()).collect();
+        assert_eq!(fired, [false, true, false, false]);
     }
 
     #[test]

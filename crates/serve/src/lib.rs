@@ -81,6 +81,7 @@
 //! tips, dropped connections, overload) and `fig_recovery` sweeps the crash
 //! points, both with exact-equality checks and a non-zero exit on divergence.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

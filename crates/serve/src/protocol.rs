@@ -20,7 +20,7 @@
 //! `len` is validated against [`MAX_FRAME`] before any allocation; an oversized
 //! prefix fails typed ([`FrameError::Oversized`]) with **zero** bytes buffered.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use fsc_state::{Answer, Query, SnapshotError, SnapshotReader, SnapshotWriter};
 
@@ -105,11 +105,23 @@ fn is_timeout_kind(e: &io::Error) -> bool {
     )
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) with one vectored write, so a
+/// socket with `TCP_NODELAY` sends the frame as one segment rather than a
+/// 4-byte prefix segment and then the payload.  The payload is not copied.
+/// A writer that takes fewer bytes per call gets the rest in later calls.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -530,13 +542,7 @@ impl Request {
                 w.u32(*shards);
             }
             Request::Ingest { tenant, seq, items } => {
-                w.u8(1);
-                w.str(tenant);
-                w.u64(*seq);
-                w.usize(items.len());
-                for item in items {
-                    w.u64(*item);
-                }
+                return Request::encode_ingest(tenant, *seq, items)
             }
             Request::Query { tenant, query } => {
                 w.u8(2);
@@ -554,6 +560,23 @@ impl Request {
             Request::Shutdown => w.u8(5),
             Request::Crash => w.u8(6),
             Request::Status => w.u8(7),
+        }
+        w.finish()
+    }
+
+    /// Encodes an [`Request::Ingest`] payload from borrowed items, into a
+    /// buffer sized up front: the same bytes as [`Request::encode`], without
+    /// first copying the batch into a `Request`.
+    pub fn encode_ingest(tenant: &str, seq: u64, items: &[u64]) -> Vec<u8> {
+        // Tag, tenant length prefix and bytes, seq, item count, items.
+        let body = 1 + 8 + tenant.len() + 8 + 8 + 8 * items.len();
+        let mut w = SnapshotWriter::with_capacity(FRAME_ID, body);
+        w.u8(1);
+        w.str(tenant);
+        w.u64(seq);
+        w.usize(items.len());
+        for &item in items {
+            w.u64(item);
         }
         w.finish()
     }
@@ -684,6 +707,82 @@ mod tests {
         let payload = read_frame(&mut cursor).unwrap().expect("one frame");
         assert_eq!(Request::decode(&payload).unwrap(), req);
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Counts the calls a writer gets, taking at most `cap` bytes per call
+    /// and filling the slices of a vectored write in order, as a socket does.
+    struct CountingWriter {
+        wire: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl CountingWriter {
+        fn new(cap: usize) -> Self {
+            CountingWriter {
+                wire: Vec::new(),
+                calls: 0,
+                cap,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.cap;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.wire.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.cap - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for len in [0, 30, 8 << 10] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut w = CountingWriter::new(usize::MAX);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.calls, 1, "{len}-byte payload");
+            assert_eq!(w.wire[..4], (len as u32).to_le_bytes());
+            assert_eq!(w.wire[4..], payload[..]);
+        }
+    }
+
+    #[test]
+    fn a_frame_survives_a_writer_that_takes_a_few_bytes_per_call() {
+        let payload: Vec<u8> = (0..30u8).collect();
+        for cap in [1, 3, 5] {
+            let mut w = CountingWriter::new(cap);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.calls, (4 + payload.len()).div_ceil(cap));
+            let mut cursor = &w.wire[..];
+            assert_eq!(read_frame(&mut cursor).unwrap(), Some(payload.clone()));
+        }
+    }
+
+    #[test]
+    fn a_borrowed_ingest_encodes_like_the_request_into_an_exact_buffer() {
+        let items: Vec<u64> = (0..1024).map(|i| i * 0x9E37).collect();
+        let payload = Request::encode_ingest("t0", 9, &items);
+        let request = Request::Ingest {
+            tenant: "t0".into(),
+            seq: 9,
+            items,
+        };
+        assert_eq!(payload, request.encode());
+        assert_eq!(payload.len(), payload.capacity(), "sized up front");
     }
 
     #[test]

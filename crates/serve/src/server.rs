@@ -207,10 +207,16 @@ impl TenantInner {
 
     /// Makes the current state durable: one delta against the chain tip, through
     /// the fault plan, then truncates the journal the delta made redundant.  A
-    /// no-op when no batch was applied since the tip.
+    /// no-op when no batch was applied since the tip, unless the journal is
+    /// poisoned: the tip already covers every applied batch, so the truncation
+    /// alone makes the journal trustworthy again.
     fn persist(&mut self, faults: &FaultPlan) -> Result<(), String> {
         if self.next_seq == self.chain.tip_epoch() {
-            return Ok(());
+            return if self.wal.is_poisoned() {
+                self.truncate_journal()
+            } else {
+                Ok(())
+            };
         }
         let full = self.snapshot().encode();
         let delta = encode_delta(
@@ -223,13 +229,20 @@ impl TenantInner {
         self.chain
             .append_delta(delta.clone())
             .map_err(|e| format!("appending delta: {e}"))?;
-        let intact = self
-            .storage
-            .append_delta(&delta, faults)
-            .map_err(|e| format!("writing delta: {e}"))?;
-        if !intact {
+        let written = self.storage.append_delta(&delta, faults);
+        // A torn or failed delta write leaves the on-disk chain short of the
+        // in-memory tip, so the journal stays the durable copy of the acked
+        // suffix from here on.
+        if !matches!(written, Ok(true)) {
             self.wal_ok = false;
         }
+        written.map_err(|e| format!("writing delta: {e}"))?;
+        self.truncate_journal()
+    }
+
+    /// Empties the journal, unless a failed delta write made it the only
+    /// durable copy of the acked suffix.
+    fn truncate_journal(&mut self) -> Result<(), String> {
         if self.wal_ok {
             self.wal
                 .truncate()
@@ -791,13 +804,25 @@ fn ingest_admitted(shared: &Shared, tenant: &str, seq: u64, items: &[u64]) -> (R
             )
         }
     }
-    let synced = match shared.durability {
-        Durability::AckAfterDurable => inner.wal.sync(),
-        Durability::AckAfterApply => inner.wal.maybe_sync(shared.group_commit),
+    let group_commit = match shared.durability {
+        Durability::AckAfterDurable => 1,
+        Durability::AckAfterApply => shared.group_commit,
     };
-    if let Err(e) = synced {
+    if let Err(e) = inner.wal.maybe_sync_with(group_commit, &shared.faults) {
+        // The failed fsync poisoned the journal (see `Wal::sync`), and this
+        // batch is neither applied nor acked.  Checkpoint the applied batches,
+        // which truncates the journal and lifts the poisoning, so the client's
+        // retry of this seq appends to a clean journal.  If the checkpoint
+        // fails too, the tenant refuses ingest until one succeeds.
+        let after = match inner.persist(&shared.faults) {
+            Ok(()) if !inner.wal.is_poisoned() => {
+                format!("applied batches checkpointed, retry seq {seq}")
+            }
+            Ok(()) => "ingest refused: the on-disk chain is broken, restart".to_string(),
+            Err(ce) => format!("ingest refused until a checkpoint lands: {ce}"),
+        };
         return (
-            Response::Error(ServeError::Internal(format!("journal sync: {e}"))),
+            Response::Error(ServeError::Internal(format!("journal sync: {e}; {after}"))),
             Control::None,
         );
     }

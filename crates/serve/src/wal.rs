@@ -16,12 +16,20 @@
 //! record   := len u32 LE | seq u64 LE | checksum u64 LE | item u64 LE × n
 //! ```
 //!
-//! `len` counts everything after itself (`16 + 8·n` bytes), `checksum` is
-//! FNV-1a-64 over the seq bytes followed by the item bytes, and seqs within a
-//! journal are strictly consecutive. Parsing is total: [`scan`] classifies any
-//! byte string into a valid prefix plus an optional typed [`WalError`], and
-//! never panics. Damage past the last valid record is *truncated* (a torn
-//! append from a crash); the valid prefix is always kept.
+//! `len` counts everything after itself (`16 + 8·n` bytes), `checksum` covers
+//! the seq and the item bytes, and seqs within a journal are strictly
+//! consecutive. Version 2 checksums with [`record_checksum`], four independent
+//! multiply-xorshift lanes over the item words; version 1 (the same layout)
+//! used byte-serial FNV-1a-64. [`scan`] reads both, and [`Wal::open`] rewrites
+//! a version-1 journal as version 2 before appending to it, so no file ever
+//! mixes versions. Parsing is total: [`scan`] classifies any byte string into a
+//! valid prefix plus an optional typed [`WalError`], and never panics. Damage
+//! past the last valid record is *truncated* (a torn append from a crash); the
+//! valid prefix is always kept.
+//!
+//! A failed fsync leaves the journal's unsynced tail of unknown content, so the
+//! journal then refuses appends until [`Wal::truncate`] empties it (see
+//! [`Wal::sync`]).
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -33,8 +41,10 @@ use crate::storage::sync_dir;
 
 /// First bytes of every journal file.
 pub const WAL_MAGIC: [u8; 4] = *b"FSCW";
-/// Format version stamped after the magic.
-pub const WAL_VERSION: u32 = 1;
+/// Format version stamped after the magic by this build.
+pub const WAL_VERSION: u32 = 2;
+/// The oldest version [`scan`] still reads (FNV-1a record checksums).
+const WAL_VERSION_FNV: u32 = 1;
 /// Bytes of `magic | version` before the first record.
 pub const WAL_HEADER: u64 = 8;
 /// Bytes of `len | seq | checksum` framing around each record's items.
@@ -42,35 +52,84 @@ pub const RECORD_OVERHEAD: u64 = 20;
 /// Hard cap on a single record's `len` field, mirroring the frame cap.
 pub const MAX_WAL_RECORD: u32 = 16 << 20;
 
-/// FNV-1a-64 over `bytes` — the journal's record checksum.
-///
-/// A single flipped byte changes the digest (each step is an XOR followed by
-/// multiplication by an odd constant, both injective), which is the failure
-/// mode torn and corrupt writes actually produce.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.update(bytes);
-    fnv.finish()
+/// Independent lanes of [`record_checksum`]: word `i` of the items feeds lane
+/// `i % LANES`, so consecutive words' multiplies do not wait on each other.
+const LANES: usize = 4;
+/// Each lane's starting state (arbitrary distinct constants).
+const LANE_SEEDS: [u64; LANES] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+/// Odd multiplier of the lane steps.
+const LANE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Odd multiplier of the fold steps.
+const FOLD_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
+
+/// One checksum step, `h ← g(h ^ w)`; see [`record_checksum`].
+#[inline(always)]
+fn mix(h: u64, w: u64, mul: u64) -> u64 {
+    let m = (h ^ w).wrapping_mul(mul);
+    m ^ (m >> 32)
 }
 
-/// Incremental FNV-1a-64, so record checksums avoid concatenating buffers.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+/// The version-2 record checksum over `seq` and the record's item bytes
+/// (little-endian `u64` words; `items.len()` is a multiple of 8 in every
+/// record).
+///
+/// One step absorbs a word `w` into a state `h` as `h ← g(h ^ w)`, where
+/// `g(x) = m ^ (m >> 32)` with `m = x · mul` for an odd constant `mul`.
+/// Multiplying by an odd number is a bijection of `u64` (odd numbers are
+/// invertible mod 2⁶⁴), and `m ↦ m ^ (m >> 32)` is a bijection too (the high
+/// half passes through unchanged and then recovers the low half). So for a
+/// fixed word the step is a bijection of the state, and for a fixed state it
+/// is a bijection of the word.
+///
+/// Word `i` of `items` steps lane `i % 4`. The lanes run independently, so
+/// their multiplies overlap, where FNV-1a's one multiply per byte each waited
+/// on the last. The fold then steps one accumulator through the checksummed
+/// byte length, the seq and the four lanes in turn.
+///
+/// **A single changed word always changes the digest.** A changed item word
+/// changes its lane's state at that step (the step is a bijection of the
+/// word), and every later step on that lane, being a bijection of the state,
+/// keeps it changed. In the fold each step is a bijection of the value it
+/// absorbs and of the accumulator, so a changed lane — or a changed seq —
+/// changes the digest. So any single flipped bit or byte inside the seq or
+/// the items is detected with certainty, as version 1's FNV-1a guaranteed
+/// with its bijective byte steps. A record of a different length is a
+/// different input: the framing checks catch most such records first, and
+/// the folded length separates the rest.
+pub fn record_checksum(seq: u64, items: &[u8]) -> u64 {
+    debug_assert_eq!(items.len() % 8, 0, "records hold whole words");
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8-byte word"));
+    let mut lanes = LANE_SEEDS;
+    let mut rows = items.chunks_exact(8 * LANES);
+    for row in &mut rows {
+        for (lane, bytes) in lanes.iter_mut().zip(row.chunks_exact(8)) {
+            *lane = mix(*lane, word(bytes), LANE_MUL);
         }
     }
-
-    fn finish(&self) -> u64 {
-        self.0
+    for (lane, bytes) in lanes.iter_mut().zip(rows.remainder().chunks_exact(8)) {
+        *lane = mix(*lane, word(bytes), LANE_MUL);
     }
+    let digest = mix(0, 8 + items.len() as u64, FOLD_MUL);
+    lanes
+        .into_iter()
+        .fold(mix(digest, seq, FOLD_MUL), |d, lane| mix(d, lane, FOLD_MUL))
+}
+
+/// The version-1 record checksum: FNV-1a-64 over the seq bytes followed by
+/// the item bytes, one dependent multiply per byte. Kept to replay journals
+/// written before version 2.
+fn fnv1a_record_checksum(seq: u64, items: &[u8]) -> u64 {
+    seq.to_le_bytes()
+        .iter()
+        .chain(items)
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
 }
 
 /// Path of the journal inside a tenant directory.
@@ -218,13 +277,17 @@ pub fn scan(bytes: &[u8]) -> WalScan {
         };
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != WAL_VERSION {
-        return WalScan {
-            records: Vec::new(),
-            valid_len: 0,
-            damage: Some(WalError::UnsupportedVersion(version)),
-        };
-    }
+    let checksum_of = match version {
+        WAL_VERSION => record_checksum,
+        WAL_VERSION_FNV => fnv1a_record_checksum,
+        _ => {
+            return WalScan {
+                records: Vec::new(),
+                valid_len: 0,
+                damage: Some(WalError::UnsupportedVersion(version)),
+            }
+        }
+    };
 
     let mut records = Vec::new();
     let mut offset = WAL_HEADER as usize;
@@ -247,14 +310,11 @@ pub fn scan(bytes: &[u8]) -> WalScan {
         let body = &bytes[offset + 4..offset + 4 + len as usize];
         let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
         let checksum = u64::from_le_bytes(body[8..16].try_into().unwrap());
-        let mut fnv = Fnv::new();
-        fnv.update(&body[..8]);
-        fnv.update(&body[16..]);
-        if fnv.finish() != checksum {
+        if checksum_of(seq, &body[16..]) != checksum {
             break Some(WalError::BadChecksum { at });
         }
         if let Some(prev) = prev_seq {
-            if seq != prev + 1 {
+            if prev.checked_add(1) != Some(seq) {
                 break Some(WalError::OutOfOrderSeq {
                     at,
                     prev,
@@ -280,23 +340,19 @@ pub fn scan(bytes: &[u8]) -> WalScan {
     }
 }
 
-/// Encode one record (`len | seq | checksum | items`) ready to append.
-fn encode_record(seq: u64, items: &[u64]) -> Vec<u8> {
+/// Encodes one current-version record (`len | seq | checksum | items`) into
+/// `out`, replacing its contents, ready to append.
+fn encode_record(out: &mut Vec<u8>, seq: u64, items: &[u64]) {
     let len = 16 + 8 * items.len() as u32;
-    let mut out = Vec::with_capacity(4 + len as usize);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    let mut fnv = Fnv::new();
-    fnv.update(&seq.to_le_bytes());
-    let checksum_at = out.len();
-    out.extend_from_slice(&[0u8; 8]);
-    for &item in items {
-        let b = item.to_le_bytes();
-        fnv.update(&b);
-        out.extend_from_slice(&b);
+    out.clear();
+    out.resize(4 + len as usize, 0);
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..12].copy_from_slice(&seq.to_le_bytes());
+    for (bytes, item) in out[20..].chunks_exact_mut(8).zip(items) {
+        bytes.copy_from_slice(&item.to_le_bytes());
     }
-    out[checksum_at..checksum_at + 8].copy_from_slice(&fnv.finish().to_le_bytes());
-    out
+    let checksum = record_checksum(seq, &out[20..]);
+    out[12..20].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// What recovery replays and repairs when a journal is opened.
@@ -327,6 +383,10 @@ pub enum WalAppend {
     Corrupt,
 }
 
+/// Why a [`Wal`] refuses appends: what made its file untrustworthy.
+const FAILED_ROLLBACK: &str = "an append failed and could not be rolled back";
+const FAILED_FSYNC: &str = "an fsync failed, so its unsynced tail is of unknown content";
+
 /// An open per-tenant journal.
 #[derive(Debug)]
 pub struct Wal {
@@ -342,12 +402,31 @@ pub struct Wal {
     /// Lifetime appends since open — survive truncation, feed the cost sweep.
     appended_records: u64,
     appended_bytes: u64,
-    /// Set when a failed append could not be rolled back: the file may end in
-    /// garbage, so further appends would be stranded behind it.
-    poisoned: bool,
+    /// Set while the file cannot be trusted (`FAILED_ROLLBACK` or
+    /// `FAILED_FSYNC`): appends behind it would be stranded or duplicated.
+    /// A successful [`Wal::truncate`] clears it.
+    poisoned: Option<&'static str>,
+    /// The record being appended, reused so an append allocates nothing.
+    record: Vec<u8>,
 }
 
 impl Wal {
+    /// An open journal of `len` bytes, all of them synced.
+    fn opened(path: PathBuf, file: File, len: u64, records: u64) -> Wal {
+        Wal {
+            path,
+            file,
+            len,
+            synced_len: len,
+            unsynced_appends: 0,
+            records,
+            appended_records: 0,
+            appended_bytes: 0,
+            poisoned: None,
+            record: Vec::new(),
+        }
+    }
+
     /// Create a fresh journal in `dir`, durably (file and directory synced).
     pub fn create(dir: &Path) -> io::Result<Wal> {
         let path = wal_path(dir);
@@ -359,30 +438,19 @@ impl Wal {
             .append(true)
             .open(&path)?;
         file.set_len(0)?;
-        let mut header = Vec::with_capacity(WAL_HEADER as usize);
-        header.extend_from_slice(&WAL_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        file.write_all(&header)?;
+        file.write_all(&header())?;
         file.sync_all()?;
         sync_dir(dir)?;
-        Ok(Wal {
-            path,
-            file,
-            len: WAL_HEADER,
-            synced_len: WAL_HEADER,
-            unsynced_appends: 0,
-            records: 0,
-            appended_records: 0,
-            appended_bytes: 0,
-            poisoned: false,
-        })
+        Ok(Wal::opened(path, file, WAL_HEADER, 0))
     }
 
     /// Open the journal in `dir`, repairing any torn tail and splitting its
     /// records at `cursor` (the recovered chain tip's next expected seq):
     /// records below the cursor are skipped, records from it on are returned
     /// for replay. A missing file is created fresh — tenants from before the
-    /// journal existed recover exactly as they used to.
+    /// journal existed recover exactly as they used to. A journal of an older
+    /// version is rewritten as the current version, crash-atomically, so the
+    /// appends that follow never mix versions in one file.
     pub fn open(dir: &Path, cursor: u64) -> io::Result<(Wal, WalRecovery)> {
         let path = wal_path(dir);
         if !path.exists() {
@@ -407,70 +475,61 @@ impl Wal {
         let mut records = scanned.records;
 
         // Split at the cursor: the chain tip already covers seqs below it.
-        let mut replay = Vec::new();
-        for record in records.drain(..) {
-            if record.seq < cursor {
-                recovery.skipped += 1;
-            } else if record.seq == cursor + replay.len() as u64 {
-                replay.push(record);
-            } else {
-                // The journal's surviving records start past the cursor: the
-                // batches the chain needs next were never journaled (possible
-                // only after on-disk damage elsewhere). Keep the covered
-                // prefix, drop the unusable suffix.
-                recovery.damage = Some(WalError::Gap {
-                    at: record.at,
-                    expected: cursor + replay.len() as u64,
-                    found: record.seq,
-                });
-                valid_len = record.at;
-                break;
-            }
+        // Seqs are consecutive, so only the first record at or past the
+        // cursor can be out of place.
+        let first = records.partition_point(|r| r.seq < cursor);
+        if let Some(record) = records.get(first).filter(|r| r.seq != cursor) {
+            // The journal's surviving records start past the cursor: the
+            // batches the chain needs next were never journaled (possible
+            // only after on-disk damage elsewhere). Keep the covered prefix,
+            // drop the unusable suffix.
+            recovery.damage = Some(WalError::Gap {
+                at: record.at,
+                expected: cursor,
+                found: record.seq,
+            });
+            valid_len = record.at;
+            records.truncate(first);
         }
         if valid_len < bytes.len() as u64 {
             recovery.truncated_bytes = bytes.len() as u64 - valid_len;
+        }
+        if bytes[4..8] != WAL_VERSION.to_le_bytes() {
+            // Records keep their size across versions, so the rewrite is
+            // exactly `valid_len` bytes long and every offset still holds.
+            file = rewrite(dir, &records)?;
+        } else if recovery.truncated_bytes > 0 {
             file.set_len(valid_len)?;
             file.sync_all()?;
         }
-        let kept = recovery.skipped + replay.len() as u64;
-        recovery.replay = replay;
-        Ok((
-            Wal {
-                path,
-                file,
-                len: valid_len,
-                synced_len: valid_len,
-                unsynced_appends: 0,
-                records: kept,
-                appended_records: 0,
-                appended_bytes: 0,
-                poisoned: false,
-            },
-            recovery,
-        ))
+        recovery.skipped = first as u64;
+        let kept = records.len() as u64;
+        recovery.replay = records.split_off(first);
+        Ok((Wal::opened(path, file, valid_len, kept), recovery))
     }
 
     /// Append one batch record, applying any injected write fault from
     /// `faults`. Returns how the bytes actually landed. An io error rolls the
     /// file back to its pre-append length so a retry appends cleanly; if the
-    /// rollback itself fails the journal is poisoned and every later append
-    /// errors (no ack can be issued over a file that may end in garbage).
+    /// rollback itself fails, or an earlier fsync failed, the journal is
+    /// poisoned and every append errors until a [`Wal::truncate`] empties it
+    /// (no ack can be issued over a file that may end in garbage).
     pub fn append(&mut self, seq: u64, items: &[u64], faults: &FaultPlan) -> io::Result<WalAppend> {
-        if self.poisoned {
-            return Err(io::Error::other(
-                "journal poisoned by an earlier failed append",
-            ));
+        if let Some(reason) = self.poisoned {
+            return Err(io::Error::other(format!(
+                "journal refuses appends until a checkpoint truncates it: {reason}"
+            )));
         }
-        let record = encode_record(seq, items);
-        let fault = faults.wal_write_fault(&record);
+        encode_record(&mut self.record, seq, items);
+        let fault = faults.wal_write_fault(&self.record);
         let (bytes, landed): (&[u8], WalAppend) = match &fault {
-            WalWriteFault::Clean => (&record, WalAppend::Clean),
+            WalWriteFault::Clean => (&self.record, WalAppend::Clean),
             WalWriteFault::Torn(torn) => (torn, WalAppend::Torn),
             WalWriteFault::Corrupt(mangled) => (mangled, WalAppend::Corrupt),
         };
         if let Err(e) = self.file.write_all(bytes) {
             if self.file.set_len(self.len).is_err() {
-                self.poisoned = true;
+                self.poisoned = Some(FAILED_ROLLBACK);
             }
             return Err(e);
         }
@@ -485,8 +544,19 @@ impl Wal {
     }
 
     /// Fsync the journal: everything appended so far survives power loss.
+    ///
+    /// A failed fsync poisons the journal. After one, the kernel may already
+    /// have dropped the unsynced pages, and a later fsync can succeed without
+    /// writing them (the "fsyncgate" failure; Rebello et al., ATC '20). An
+    /// append behind them would also let a retried seq land twice, and
+    /// recovery stops at the duplicate. So nothing is appended until a
+    /// checkpoint covers the applied batches and [`Wal::truncate`] empties
+    /// the file.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_all()?;
+        if let Err(e) = self.file.sync_all() {
+            self.poisoned = Some(FAILED_FSYNC);
+            return Err(e);
+        }
         self.synced_len = self.len;
         self.unsynced_appends = 0;
         Ok(())
@@ -495,16 +565,27 @@ impl Wal {
     /// Fsync only once `group_commit` appends have accumulated (a knob of 0
     /// behaves as 1: every append syncs).
     pub fn maybe_sync(&mut self, group_commit: u64) -> io::Result<()> {
-        if self.unsynced_appends >= group_commit.max(1) {
-            self.sync()?;
+        self.maybe_sync_with(group_commit, &FaultPlan::none())
+    }
+
+    /// [`Wal::maybe_sync`] through the fault plan: an armed fsync failure
+    /// errors, and poisons the journal, exactly as a failed [`Wal::sync`].
+    pub fn maybe_sync_with(&mut self, group_commit: u64, faults: &FaultPlan) -> io::Result<()> {
+        if self.unsynced_appends < group_commit.max(1) {
+            return Ok(());
         }
-        Ok(())
+        if faults.sync_fails() {
+            self.poisoned = Some(FAILED_FSYNC);
+            return Err(io::Error::other("injected journal fsync failure"));
+        }
+        self.sync()
     }
 
     /// Drop every record: the checkpoint that just landed covers them all.
     /// Atomic in the crash sense — a crash before the `set_len` leaves the
     /// full journal (recovery skips the covered records via the cursor), a
     /// crash after it leaves the empty journal (recovery replays nothing).
+    /// Success lifts any poisoning: the file is back to its synced header.
     pub fn truncate(&mut self) -> io::Result<()> {
         self.file.set_len(WAL_HEADER)?;
         self.file.sync_all()?;
@@ -512,7 +593,13 @@ impl Wal {
         self.synced_len = WAL_HEADER;
         self.unsynced_appends = 0;
         self.records = 0;
+        self.poisoned = None;
         Ok(())
+    }
+
+    /// Whether the journal refuses appends until the next [`Wal::truncate`].
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned.is_some()
     }
 
     /// Records currently in the journal.
@@ -549,6 +636,38 @@ impl Wal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// The current-version file header.
+fn header() -> [u8; WAL_HEADER as usize] {
+    let mut header = [0; WAL_HEADER as usize];
+    header[..4].copy_from_slice(&WAL_MAGIC);
+    header[4..].copy_from_slice(&WAL_VERSION.to_le_bytes());
+    header
+}
+
+/// Replaces the journal in `dir` with a current-version journal of `records`:
+/// written and fsynced under a temporary name, renamed over the journal, then
+/// the directory fsynced. A crash at any step leaves either the old journal or
+/// the new one, each holding the same batches. Returns the new file, open for
+/// appending.
+fn rewrite(dir: &Path, records: &[WalRecord]) -> io::Result<File> {
+    let mut bytes = header().to_vec();
+    let mut record = Vec::new();
+    for r in records {
+        encode_record(&mut record, r.seq, &r.items);
+        bytes.extend_from_slice(&record);
+    }
+    let temp = dir.join("wal.fscw.tmp");
+    let mut file = File::create(&temp)?;
+    file.write_all(&bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&temp, wal_path(dir))?;
+    sync_dir(dir)?;
+    OpenOptions::new()
+        .read(true)
+        .append(true)
+        .open(wal_path(dir))
 }
 
 #[cfg(test)]
@@ -761,12 +880,12 @@ mod tests {
         assert!(scan(b"").damage.is_some());
         assert!(scan(b"FSC").damage.is_some());
         assert!(scan(b"NOPE0000").damage.is_some());
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&WAL_MAGIC);
-        v2.extend_from_slice(&2u32.to_le_bytes());
+        let mut v3 = Vec::new();
+        v3.extend_from_slice(&WAL_MAGIC);
+        v3.extend_from_slice(&3u32.to_le_bytes());
         assert!(matches!(
-            scan(&v2).damage,
-            Some(WalError::UnsupportedVersion(2))
+            scan(&v3).damage,
+            Some(WalError::UnsupportedVersion(3))
         ));
         // A length field of garbage is BadLength, not a panic.
         let mut bad = Vec::new();
@@ -778,5 +897,142 @@ mod tests {
             scan(&bad).damage,
             Some(WalError::BadLength { at: 8, len: 3 })
         ));
+        // A seq at the top of the range is followed by no valid seq: typed
+        // damage, not an overflow.
+        let mut wrap = header().to_vec();
+        let mut record = Vec::new();
+        for seq in [u64::MAX, 0] {
+            encode_record(&mut record, seq, &[1]);
+            wrap.extend_from_slice(&record);
+        }
+        let scanned = scan(&wrap);
+        assert_eq!(scanned.records.len(), 1);
+        assert!(matches!(
+            scanned.damage,
+            Some(WalError::OutOfOrderSeq {
+                prev: u64::MAX,
+                found: 0,
+                ..
+            })
+        ));
+    }
+
+    /// A journal image of `version` holding one record per item count in
+    /// `shapes`, seqs from 0, encoded by hand so version 1 needs no writer.
+    fn image(version: u32, shapes: &[usize]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&WAL_MAGIC);
+        out.extend_from_slice(&version.to_le_bytes());
+        for (seq, &n) in shapes.iter().enumerate() {
+            let items: Vec<u64> = (0..n as u64).map(|i| i * 0x9E37 + seq as u64).collect();
+            let mut record = Vec::new();
+            encode_record(&mut record, seq as u64, &items);
+            if version == WAL_VERSION_FNV {
+                let checksum = fnv1a_record_checksum(seq as u64, &record[20..]);
+                record[12..20].copy_from_slice(&checksum.to_le_bytes());
+            }
+            out.extend_from_slice(&record);
+        }
+        out
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_record_is_typed_damage() {
+        for version in [WAL_VERSION_FNV, WAL_VERSION] {
+            for n in 0..=8 {
+                let clean = image(version, &[3, n]);
+                let target = (WAL_HEADER + RECORD_OVERHEAD + 24) as usize;
+                assert_eq!(scan(&clean).records.len(), 2);
+                for byte in target..clean.len() {
+                    for bit in 0..8 {
+                        let mut flipped = clean.clone();
+                        flipped[byte] ^= 1 << bit;
+                        let scanned = scan(&flipped);
+                        let at = match scanned.damage {
+                            Some(WalError::BadChecksum { at })
+                            | Some(WalError::BadLength { at, .. })
+                            | Some(WalError::Truncated { at }) => at,
+                            other => {
+                                panic!("v{version}, {n} items, byte {byte} bit {bit}: {other:?}")
+                            }
+                        };
+                        assert_eq!(at, target as u64, "v{version}, {n} items, byte {byte}");
+                        assert_eq!(scanned.records.len(), 1);
+                        assert_eq!(scanned.valid_len, target as u64);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_record_checksum_is_pinned() {
+        // Any change to the lanes, constants or fold is a format change that
+        // must bump `WAL_VERSION`; it fails here first.  The values were
+        // checked against an independent reimplementation.
+        let items: Vec<u8> = (1..=6u64).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(record_checksum(7, &items), 0xFD72_C5AA_3B58_8E5F);
+        assert_eq!(record_checksum(7, &[]), 0x5681_E956_45DE_ECA5);
+        assert_eq!(fnv1a_record_checksum(7, &items), 0x37DC_9052_4314_4DE5);
+    }
+
+    #[test]
+    fn a_version_one_journal_replays_and_is_rewritten_as_version_two() {
+        let dir = tmp_dir("v1");
+        let old = image(WAL_VERSION_FNV, &[2, 0, 5]);
+        // A torn tail on the old journal is truncated by the rewrite too.
+        let mut torn = old.clone();
+        torn.extend_from_slice(&[9, 9, 9]);
+        std::fs::write(wal_path(&dir), &torn).unwrap();
+
+        let (mut wal, recovery) = Wal::open(&dir, 1).unwrap();
+        assert_eq!(recovery.skipped, 1);
+        assert_eq!(recovery.truncated_bytes, 3);
+        assert!(matches!(recovery.damage, Some(WalError::Truncated { .. })));
+        let old_records = scan(&old).records;
+        assert_eq!(recovery.replay, old_records[1..]);
+        assert_eq!(wal.len(), old.len() as u64);
+        assert_eq!(wal.records(), 3);
+
+        let faults = FaultPlan::none();
+        wal.append(3, &[42], &faults).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let rewritten = std::fs::read(wal_path(&dir)).unwrap();
+        assert_eq!(rewritten[4..8], WAL_VERSION.to_le_bytes());
+        assert_eq!(rewritten[..old.len()], image(WAL_VERSION, &[2, 0, 5])[..]);
+        assert!(!dir.join("wal.fscw.tmp").exists());
+        let (_, again) = Wal::open(&dir, 0).unwrap();
+        assert!(again.damage.is_none());
+        assert_eq!(again.replay.len(), 4);
+        assert_eq!(again.replay[..3], old_records[..]);
+        assert_eq!(again.replay[3].items, vec![42]);
+    }
+
+    #[test]
+    fn a_failed_sync_refuses_appends_until_truncate() {
+        let dir = tmp_dir("failed-sync");
+        let clean = FaultPlan::none();
+        let faults = FaultPlan::none().with_failed_sync(2);
+        let mut wal = Wal::create(&dir).unwrap();
+        wal.append(0, &[1], &clean).unwrap();
+        wal.maybe_sync_with(1, &faults).unwrap();
+        wal.append(1, &[2], &clean).unwrap();
+        assert!(wal.maybe_sync_with(1, &faults).is_err());
+        assert!(wal.is_poisoned());
+        assert!(
+            wal.append(1, &[2], &clean).is_err(),
+            "no second copy of seq 1"
+        );
+        assert_eq!(wal.records(), 2);
+
+        wal.truncate().unwrap();
+        assert!(!wal.is_poisoned());
+        wal.append(1, &[2], &clean).unwrap();
+        wal.maybe_sync_with(1, &faults).unwrap();
+        drop(wal);
+        let (_, recovery) = Wal::open(&dir, 1).unwrap();
+        assert!(recovery.damage.is_none());
+        assert_eq!(recovery.replay.len(), 1);
     }
 }

@@ -141,7 +141,16 @@ impl SnapshotWriter {
     /// Starts a checkpoint for the algorithm identified by `algorithm` (a short stable
     /// id such as `"count_min"`; see `Snapshot::snapshot_id`).
     pub fn new(algorithm: &str) -> Self {
-        let mut w = Self { buf: Vec::new() };
+        Self::with_capacity(algorithm, 0)
+    }
+
+    /// [`SnapshotWriter::new`] with room for `body` more bytes after the header,
+    /// for a caller that knows its size up front and must not regrow the buffer.
+    pub fn with_capacity(algorithm: &str, body: usize) -> Self {
+        let header = SNAPSHOT_MAGIC.len() + 2 + 8 + algorithm.len();
+        let mut w = Self {
+            buf: Vec::with_capacity(header + body),
+        };
         w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
         w.str(algorithm);

@@ -15,6 +15,11 @@
 //!   simulated power loss (journal truncated to its fsynced boundary) loses
 //!   at most one group-commit window of acked batches, and the sequence-
 //!   numbered client replays the tail to exact convergence.
+//! * **A failed fsync loses nothing acked** — in both modes, a journal fsync
+//!   that fails, the client's retry of that seq, more acked batches and a
+//!   crash recover exactly the twin of every acked batch.
+//! * **Old journals replay** — a version-1 journal written by an earlier
+//!   build replays exactly, and the tenant keeps ingesting and recovering.
 
 use std::path::PathBuf;
 
@@ -23,7 +28,8 @@ use fsc_engine::EngineConfig;
 use fsc_serve::faults::splitmix64;
 use fsc_serve::wal::{scan, Wal, WAL_HEADER};
 use fsc_serve::{
-    Client, ClientConfig, CrashPoint, Durability, FaultPlan, Server, ServerConfig, ServerHandle,
+    Client, ClientConfig, ClientError, CrashPoint, Durability, FaultPlan, ServeError, Server,
+    ServerConfig, ServerHandle,
 };
 use fsc_state::{Answer, Query};
 use proptest::prelude::*;
@@ -370,6 +376,123 @@ fn relaxed_power_loss_is_bounded_by_the_group_commit_window() {
         served_answers(&mut c, &probes),
         twin_answers(&work, work.len(), &probes),
         "replay converges to the full twin"
+    );
+    server.stop().expect("stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// --- a failed fsync -----------------------------------------------------------
+
+/// Fail one journal fsync mid-run, retry that seq as a client would, ack more
+/// batches, crash: the restart must equal the twin of every acked batch.
+/// Were the journal to take appends after a failed fsync, the retry would
+/// append a second copy of the seq, recovery would stop at it, and every
+/// batch acked after it would be lost.
+#[test]
+fn a_failed_fsync_loses_no_acked_batch() {
+    let work = batches(6, 32, 0xF5_5EED);
+    let probes = probes();
+    // (mode, group commit, failing fsync, the seq whose append asks for it):
+    // durable mode syncs every append; a group commit of 2 syncs after seqs
+    // 1, 3, 5.
+    for (durability, group_commit, nth_sync, failing_seq) in [
+        (Durability::AckAfterDurable, 8, 3, 2),
+        (Durability::AckAfterApply, 2, 2, 3),
+    ] {
+        let dir = tmp_dir(&format!("failed-sync-{durability}"));
+        let (server, _) = start(
+            &dir,
+            FaultPlan::seeded(5)
+                .with_failed_sync(nth_sync)
+                .with_crash_frame(),
+            durability,
+            group_commit,
+        );
+        let mut c = Client::new(server.addr(), ClientConfig::default());
+        c.create_tenant("t0", "count_min", 2).expect("create");
+        for (seq, batch) in work.iter().enumerate() {
+            let seq = seq as u64;
+            if seq == failing_seq {
+                let refused = c.ingest("t0", seq, batch);
+                assert!(
+                    matches!(refused, Err(ClientError::Server(ServeError::Internal(_)))),
+                    "{durability}: seq {seq} must fail typed, got {refused:?}"
+                );
+            }
+            c.ingest("t0", seq, batch)
+                .unwrap_or_else(|e| panic!("{durability}: seq {seq}: {e}"));
+        }
+        c.crash();
+        server.join();
+
+        let (server, report) = start(&dir, FaultPlan::none(), durability, group_commit);
+        assert!(report.is_clean(), "{durability}: {report}");
+        let mut c = Client::new(server.addr(), ClientConfig::default());
+        assert_eq!(
+            c.stats("t0").expect("stats").next_seq,
+            work.len() as u64,
+            "{durability}: every acked batch is recovered"
+        );
+        assert_eq!(
+            served_answers(&mut c, &probes),
+            twin_answers(&work, work.len(), &probes),
+            "{durability}: restart answers as the twin of every acked batch"
+        );
+        server.stop().expect("stop");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// --- journals written by an earlier build -------------------------------------
+
+/// `tests/golden/wal_v1.fscw` was written by the version-1 journal code: four
+/// records of `batches(4, 32, 0x71_5EED)` with FNV-1a checksums.  Dropped into
+/// a fresh tenant, it replays exactly; the tenant then keeps ingesting, and
+/// recovers exactly again after a second crash.
+#[test]
+fn a_version_one_journal_replays_and_the_tenant_carries_on() {
+    let v1 = include_bytes!("golden/wal_v1.fscw");
+    assert_eq!(
+        v1[4..8],
+        1u32.to_le_bytes(),
+        "the fixture is a version-1 journal"
+    );
+    let work = batches(8, 32, 0x71_5EED);
+    let probes = probes();
+    let dir = tmp_dir("v1-journal");
+    let crashable = || FaultPlan::none().with_crash_frame();
+
+    let (server, _) = start(&dir, crashable(), Durability::AckAfterDurable, 8);
+    let mut c = Client::new(server.addr(), ClientConfig::default());
+    c.create_tenant("t0", "count_min", 2).expect("create");
+    c.crash();
+    server.join();
+    let journal = fsc_serve::wal::wal_path(&dir.join("t0"));
+    std::fs::write(&journal, v1).expect("install the old journal");
+
+    let (server, report) = start(&dir, crashable(), Durability::AckAfterDurable, 8);
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.total_wal_replayed(), 4);
+    let mut c = Client::new(server.addr(), ClientConfig::default());
+    assert_eq!(
+        served_answers(&mut c, &probes),
+        twin_answers(&work, 4, &probes)
+    );
+    for (seq, batch) in work.iter().enumerate().skip(4) {
+        assert!(c.ingest("t0", seq as u64, batch).expect("ingest"));
+    }
+    c.crash();
+    server.join();
+    let rescan = scan(&std::fs::read(&journal).expect("read journal"));
+    assert!(rescan.damage.is_none());
+    assert_eq!(rescan.records.len(), work.len(), "one file, one version");
+
+    let (server, report) = start(&dir, FaultPlan::none(), Durability::AckAfterDurable, 8);
+    assert!(report.is_clean(), "{report}");
+    let mut c = Client::new(server.addr(), ClientConfig::default());
+    assert_eq!(
+        served_answers(&mut c, &probes),
+        twin_answers(&work, work.len(), &probes)
     );
     server.stop().expect("stop");
     let _ = std::fs::remove_dir_all(&dir);
