@@ -1,6 +1,6 @@
 //! The CountMin sketch [CM05].
 
-use crate::{LANE_BLOCK, PREFETCH_MIN_BYTES};
+use crate::{Scratch, LANE_BLOCK, PREFETCH_MIN_BYTES};
 use fsc_counters::hashing::TabulationHash;
 use fsc_counters::lanes;
 use fsc_state::snapshot::TrackerState;
@@ -34,6 +34,10 @@ pub struct CountMin {
     lanes: usize,
     name: String,
     tracker: StateTracker,
+    /// The batch kernel's flat probe cells, one block at a time.
+    cells: Scratch<usize>,
+    /// The batch kernel's wear addresses of those cells (filled only with wear on).
+    addrs: Scratch<usize>,
 }
 
 impl CountMin {
@@ -57,6 +61,8 @@ impl CountMin {
             lanes: lanes::DEFAULT_LANE_WIDTH,
             name: format!("CountMin({depth}x{width})"),
             tracker: tracker.clone(),
+            cells: Scratch::default(),
+            addrs: Scratch::default(),
         }
     }
 
@@ -137,39 +143,50 @@ impl CountMin {
     /// fallback — so there is exactly one accounting path to get right.  Per block:
     ///
     /// 1. **Hash phase** — evaluate all `depth` tabulation hashes for the block's
-    ///    items with [`lanes::tabulation_hashes`] (8·W independent table loads in
-    ///    flight instead of 8 dependent ones) and store the flat cell index of every
-    ///    probe.
+    ///    items with [`lanes::tabulation_hashes`] (`k·W` independent table loads in
+    ///    flight instead of `k` dependent ones, where `k` is the number of
+    ///    significant bytes of the OR of the block's keys: the tables of the bytes
+    ///    every key leaves zero are a precomputed constant) and store the flat cell
+    ///    index of every probe.
     /// 2. **Prefetch phase** — read every probe cell once, summing into a value fed
     ///    to [`std::hint::black_box`].  Ordinary loads, no intrinsics: they pull the
     ///    scattered counter lines into cache while staying invisible to tracking
     ///    (reads change no state; the tracker's logical read charge is recorded in
     ///    the scatter phase, unchanged).
-    /// 3. **Scatter phase** — per item: enter its epoch, bump its `depth` counters
-    ///    via the untracked slice, then charge `depth` reads and the changed
-    ///    addresses in bulk — call-for-call what the scalar per-item kernel charged.
+    /// 3. **Scatter phase** — bump every probe counter via the untracked slice, then
+    ///    charge the block's reads, epochs and changed writes in bulk — call-for-call
+    ///    what the scalar per-item kernel charged.  Wear addresses are computed only
+    ///    when the tracker keeps wear; nothing else reads them.
+    ///
+    /// The cell and address buffers live in the sketch ([`Scratch`]), so a batch
+    /// allocates nothing after the first.
     fn process_batch_lanes<const W: usize>(&mut self, items: &[u64]) {
-        let tracker = self.tracker.clone();
+        let tracker = &self.tracker;
         let first = tracker.begin_epochs(items.len() as u64);
         let depth = self.table.rows();
         let width = self.width;
         let base = self.table.addr_of(0, 0);
         let elem_words = self.table.elem_words();
-        let mut addrs = vec![0usize; LANE_BLOCK * depth];
-        let mut cells = vec![0usize; LANE_BLOCK * depth];
+        let wear = tracker.tracks_wear();
+        self.cells.resize(LANE_BLOCK * depth, 0);
+        if wear {
+            self.addrs.resize(LANE_BLOCK * depth, 0);
+        }
+        let cells: &mut [usize] = &mut self.cells;
         // Prefetch pays only when the counter table outgrows cache; at cache-resident
         // sizes the touch loop is pure overhead, so skip it (no observable effect —
         // the touched cells were about to be read by the scatter anyway).
         let prefetch = depth * width * std::mem::size_of::<u64>() > PREFETCH_MIN_BYTES;
         for (b, block) in items.chunks(LANE_BLOCK).enumerate() {
-            // Hash phase, row-major: one row's 16 KiB of tabulation tables stays
-            // cache-hot across the whole block instead of being evicted by the next
-            // row's tables after every lane group.
+            // Hash phase, row-major: one row's tabulation tables stay cache-hot
+            // across the whole block instead of being evicted by the next row's
+            // tables after every lane group.
             let full = block.len() - block.len() % W;
+            let bytes = lanes::significant_bytes(block.iter().fold(0, |or, &x| or | x));
             for (r, hash) in self.hashes.iter().enumerate() {
                 for g in (0..full).step_by(W) {
                     let xs: [u64; W] = block[g..g + W].try_into().unwrap();
-                    let hs = lanes::tabulation_hashes::<W>(hash, &xs);
+                    let hs = lanes::tabulation_hashes::<W>(hash, &xs, bytes);
                     let buckets = lanes::multiply_shift_buckets::<W>(&hs, width, 64);
                     for l in 0..W {
                         cells[(g + l) * depth + r] = r * width + buckets[l];
@@ -180,10 +197,11 @@ impl CountMin {
                 }
             }
             // Prefetch phase: touch every probe cell with a plain (untracked) read.
+            let probes = block.len() * depth;
             let data = self.table.as_mut_slice_untracked();
             if prefetch {
                 let mut touch = 0u64;
-                for &cell in &cells[..block.len() * depth] {
+                for &cell in &cells[..probes] {
                     touch = touch.wrapping_add(data[cell]);
                 }
                 std::hint::black_box(touch);
@@ -191,14 +209,21 @@ impl CountMin {
             // Scatter phase.  The accounting lands in two bulk calls that are
             // call-for-call equivalent to the per-item loop: reads are a global sum,
             // and `record_scatter_epochs` enters each item's epoch and charges its
-            // `depth` changed addresses (constant-time in the tracker's counters).
-            let probes = block.len() * depth;
-            for (i, &cell) in cells[..probes].iter().enumerate() {
+            // `depth` changed writes (constant-time in the tracker's counters).
+            for &cell in &cells[..probes] {
                 data[cell] += 1;
-                addrs[i] = base + cell * elem_words;
             }
+            let addrs: &[usize] = if wear {
+                for (a, &cell) in self.addrs.iter_mut().zip(&cells[..probes]) {
+                    *a = base + cell * elem_words;
+                }
+                &self.addrs[..probes]
+            } else {
+                &[]
+            };
             tracker.record_reads(probes as u64);
-            tracker.record_scatter_epochs(first + (b * LANE_BLOCK) as u64, depth, &addrs[..probes]);
+            let epoch = first + (b * LANE_BLOCK) as u64;
+            tracker.record_scatter_epochs(epoch, block.len() as u64, depth, addrs);
         }
     }
 }

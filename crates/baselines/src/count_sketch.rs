@@ -1,6 +1,6 @@
 //! The CountSketch [CCF04].
 
-use crate::{LANE_BLOCK, PREFETCH_MIN_BYTES};
+use crate::{Scratch, LANE_BLOCK, PREFETCH_MIN_BYTES};
 use fsc_counters::hashing::{multiply_shift_bucket, FoldedItem, FourWise, PolyHash};
 use fsc_counters::lanes;
 use fsc_state::snapshot::TrackerState;
@@ -38,6 +38,12 @@ pub struct CountSketch {
     lanes: usize,
     name: String,
     tracker: StateTracker,
+    /// The batch kernel's per-block buffers: folded items, flat probe cells, their
+    /// signs, and their wear addresses (filled only with wear on).
+    folded: Scratch<FoldedItem>,
+    cells: Scratch<usize>,
+    signs: Scratch<i64>,
+    addrs: Scratch<usize>,
 }
 
 impl CountSketch {
@@ -65,6 +71,10 @@ impl CountSketch {
             lanes: lanes::DEFAULT_LANE_WIDTH,
             name: format!("CountSketch({depth}x{width})"),
             tracker: tracker.clone(),
+            folded: Scratch::default(),
+            cells: Scratch::default(),
+            signs: Scratch::default(),
+            addrs: Scratch::default(),
         }
     }
 
@@ -149,19 +159,26 @@ impl CountSketch {
     /// power-form signs ([`lanes::four_wise_signs`]) over lane groups into cell and
     /// sign buffers; optionally touch the probe cells early (untracked reads, see
     /// DESIGN §1.10); then scatter the signed bumps and charge reads plus
-    /// per-item epochs/changed addresses in two bulk tracker calls.
+    /// per-item epochs/changed writes in two bulk tracker calls, computing wear
+    /// addresses only when the tracker keeps wear.  The buffers live in the sketch
+    /// ([`Scratch`]), so a batch allocates nothing after the first.
     fn process_batch_lanes<const W: usize>(&mut self, items: &[u64]) {
-        let tracker = self.tracker.clone();
+        let tracker = &self.tracker;
         let first = tracker.begin_epochs(items.len() as u64);
         let depth = self.table.rows();
         let width = self.width;
         let base = self.table.addr_of(0, 0);
         let elem_words = self.table.elem_words();
+        let wear = tracker.tracks_wear();
         let prefetch = depth * width * std::mem::size_of::<i64>() > PREFETCH_MIN_BYTES;
-        let mut folded: Vec<FoldedItem> = Vec::with_capacity(LANE_BLOCK);
-        let mut addrs = vec![0usize; LANE_BLOCK * depth];
-        let mut cells = vec![0usize; LANE_BLOCK * depth];
-        let mut signs = vec![0i64; LANE_BLOCK * depth];
+        self.cells.resize(LANE_BLOCK * depth, 0);
+        self.signs.resize(LANE_BLOCK * depth, 0);
+        if wear {
+            self.addrs.resize(LANE_BLOCK * depth, 0);
+        }
+        let folded: &mut Vec<FoldedItem> = &mut self.folded;
+        let cells: &mut [usize] = &mut self.cells;
+        let signs: &mut [i64] = &mut self.signs;
         for (b, block) in items.chunks(LANE_BLOCK).enumerate() {
             // Fold phase: each item's x, x², x³ residues, once per block.
             let full = block.len() - block.len() % W;
@@ -205,12 +222,20 @@ impl CountSketch {
                 std::hint::black_box(touch);
             }
             // Scatter phase with bulk accounting (see CountMin for the argument).
-            for (i, (&cell, &sign)) in cells[..probes].iter().zip(&signs[..probes]).enumerate() {
+            for (&cell, &sign) in cells[..probes].iter().zip(&signs[..probes]) {
                 data[cell] += sign;
-                addrs[i] = base + cell * elem_words;
             }
+            let addrs: &[usize] = if wear {
+                for (a, &cell) in self.addrs.iter_mut().zip(&cells[..probes]) {
+                    *a = base + cell * elem_words;
+                }
+                &self.addrs[..probes]
+            } else {
+                &[]
+            };
             tracker.record_reads(probes as u64);
-            tracker.record_scatter_epochs(first + (b * LANE_BLOCK) as u64, depth, &addrs[..probes]);
+            let epoch = first + (b * LANE_BLOCK) as u64;
+            tracker.record_scatter_epochs(epoch, block.len() as u64, depth, addrs);
         }
     }
 }

@@ -53,6 +53,39 @@ pub(crate) const LANE_BLOCK: usize = 256;
 /// we benchmark; correctness is unaffected either way (prefetch is untracked reads).
 pub(crate) const PREFETCH_MIN_BYTES: usize = 512 * 1024;
 
+/// A batch kernel's reusable buffer, kept in its sketch so a batch allocates
+/// nothing.  It holds no sketch state: empty at construction, sized by the first
+/// batch, never serialized, and a clone starts empty, so construction and copies
+/// cost what they would without it.  Derefs to the `Vec`.
+#[derive(Debug)]
+pub(crate) struct Scratch<T>(Vec<T>);
+
+impl<T> Default for Scratch<T> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<T> Clone for Scratch<T> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<T> std::ops::Deref for Scratch<T> {
+    type Target = Vec<T>;
+
+    fn deref(&self) -> &Vec<T> {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        &mut self.0
+    }
+}
+
 /// The untracked [`fsc_state::Mergeable::assign_union`] of the linear sketches:
 /// overwrites `dst` with the element-wise sum of the `shards` counter tables — one
 /// slice copy of the first, then one add pass per further shard, with the same `+`

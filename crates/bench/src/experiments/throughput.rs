@@ -269,10 +269,14 @@ pub fn schema_keys(mode: Mode) -> Vec<&'static str> {
 
 /// The batch/item speedup CountMin's kernel must keep at the default lane width.
 ///
-/// Healthy quick runs on a 2-vCPU host read 1.83–2.25 (30 runs); with
-/// `process_batch` slowed by an injected 25% they read 1.23–1.52 (20 runs).
-/// The scalar kernel (`--lanes 1`) reads about 1.3, so the gate applies at the
-/// default width only.
+/// Healthy quick runs on a 2-vCPU host read 3.44–4.64 (50 runs) now that the
+/// batch kernel looks up only the key bytes a block sets.  With that lookup
+/// reverted to all eight tables they read 2.64–3.77 (40 runs), so no bound
+/// separates the two, and the gate keeps the bound that catches a collapse of
+/// the lane kernel: with eight lookups per key, healthy runs read 1.82–2.39 and
+/// runs with `process_batch` slowed by an injected 25% read 1.23–1.52.  The bound
+/// was set for the default width, so the gate applies there only (the scalar
+/// kernel, `--lanes 1`, reads about 2.7 on zipf-1.1).
 pub const MIN_KERNEL_SPEEDUP: f64 = 1.6;
 
 /// The same-run perf gate: CountMin's batch items/sec over its per-item

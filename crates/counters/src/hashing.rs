@@ -462,10 +462,22 @@ impl PolyHash {
     }
 }
 
-/// Simple tabulation hashing on the 8 bytes of a `u64` key (3-wise independent).
+/// Simple tabulation hashing on the 8 bytes of a `u64` key (3-wise independent;
+/// Pătraşcu & Thorup, "The Power of Simple Tabulation Hashing", JACM 2012).
+///
+/// Eight tables `T_0..T_7` of 256 random words; the hash of `x` is
+/// `T_0[x₀] ^ T_1[x₁] ^ … ^ T_7[x₇]`, where `xᵢ` is byte `i` of `x` (least
+/// significant first).  Keys drawn from a small universe `[n]` have zero high
+/// bytes, whose lookups all read the same entry `Tᵢ[0]`.  Construction therefore
+/// also folds those entries into nine constants `T_k[0] ^ … ^ T_7[0]`
+/// (`k = 0..=8`), so a batch kernel whose keys fit in `k` bytes looks up only
+/// tables `0..k` ([`crate::lanes::tabulation_hashes`]).
 #[derive(Debug, Clone)]
 pub struct TabulationHash {
     tables: Vec<[u64; 256]>,
+    /// `zero_tail[k] = T_k[0] ^ … ^ T_7[0]`: the part of the hash contributed by
+    /// zero bytes `k..8` (`zero_tail[8] = 0`).
+    zero_tail: [u64; 9],
 }
 
 impl TabulationHash {
@@ -479,7 +491,11 @@ impl TabulationHash {
             }
             tables.push(t);
         }
-        Self { tables }
+        let mut zero_tail = [0u64; 9];
+        for k in (0..8).rev() {
+            zero_tail[k] = zero_tail[k + 1] ^ tables[k][0];
+        }
+        Self { tables, zero_tail }
     }
 
     /// Hash of `x` as a full 64-bit value.
@@ -500,6 +516,17 @@ impl TabulationHash {
     #[inline(always)]
     pub(crate) fn tables(&self) -> &[[u64; 256]] {
         &self.tables
+    }
+
+    /// The hash of a key whose bytes `k..8` are all zero, before tables `0..k`
+    /// are XOR-ed in: `T_k[0] ^ … ^ T_7[0]` (`0` at `k = 8`).
+    ///
+    /// # Panics
+    ///
+    /// If `k > 8`.
+    #[inline(always)]
+    pub(crate) fn zero_tail(&self, k: usize) -> u64 {
+        self.zero_tail[k]
     }
 
     /// Hash of `x` mapped to a bucket in `[0, buckets)` (multiply-shift on the 64-bit

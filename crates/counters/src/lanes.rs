@@ -15,9 +15,11 @@
 //!
 //! Every helper here evaluates the **same integer expression** as its scalar
 //! counterpart in [`crate::hashing`], per lane, in the same operation order; lanes
-//! never interact.  Packing items into lanes therefore cannot change any output bit:
-//! for each lane `l`, `f_lanes(xs)[l] ≡ f_scalar(xs[l])` holds as an identity over
-//! the integers (no floating point, no reassociation, no rounding), and the unit
+//! never interact.  (The one exception, [`tabulation_hashes`], reorders XORs and
+//! folds the zero bytes' terms into a constant; XOR is associative and commutative,
+//! so its result is the same integer.)  Packing items into lanes therefore cannot
+//! change any output bit: for each lane `l`, `f_lanes(xs)[l] ≡ f_scalar(xs[l])`
+//! holds as an identity over the integers (no floating point, no rounding), and the unit
 //! tests below additionally pin the equality exhaustively against the scalar
 //! entry points.  This is what lets the sketch kernels swap widths freely while the
 //! batch laws demand bit-identical answers, `StateReport`s, and wear tables.
@@ -145,15 +147,44 @@ pub fn four_wise_hashes_many<const W: usize>(hashes: &[FourWise], f: &FoldedItem
     out
 }
 
-/// Tabulation hash of `W` keys — per lane identical to
-/// [`TabulationHash::hash_u64`], with the byte-table iteration outermost so the
-/// `8·W` independent table loads issue in interleaved order and overlap in the
-/// load queue (the whole point: one item's eight lookups are a short dependent
-/// XOR reduction, eight items' lookups are memory-level parallelism).
+/// The number of significant bytes of `x`: the least `k` with `x < 2^(8k)` — 0
+/// for `x = 0`, 8 for any key with a bit set at 56 or above.  A batch kernel takes
+/// it of the OR of a block's keys and hands it to [`tabulation_hashes`].
+#[inline]
+pub fn significant_bytes(x: u64) -> usize {
+    (64 - x.leading_zeros() as usize).div_ceil(8)
+}
+
+/// Tabulation hash of `W` keys whose bytes `bytes..8` are all zero — per lane
+/// identical to [`TabulationHash::hash_u64`], with the byte-table iteration
+/// outermost so the `bytes·W` independent table loads issue in interleaved order
+/// and overlap in the load queue (one item's lookups are a short dependent XOR
+/// reduction; `W` items' lookups are memory-level parallelism).
+///
+/// # Exactness
+///
+/// `hash_u64(x) = T_0[x₀] ^ … ^ T_7[x₇]`, `xᵢ` being byte `i` of `x`.  When
+/// `xᵢ = 0` for every `i ≥ k`, the terms from `k` up are `T_k[0] ^ … ^ T_7[0]`,
+/// the constant the hash precomputed at construction.  XOR is associative and
+/// commutative, so starting each lane at that constant and XOR-ing in tables
+/// `0..k` yields the same 64 bits as the scalar hash.  Kernels pass
+/// `k = significant_bytes(x_0 | … | x_{n−1})` over a block: a key's byte `i` can
+/// be non-zero only where the OR's byte `i` is, so every key of the block has zero
+/// bytes from `k` up.  `k = 8` is the full eight-table evaluation; an all-zero
+/// block has `k = 0` and reads no table.
+///
+/// # Panics
+///
+/// If `bytes > 8`.  Debug builds also check that every key fits in `bytes` bytes.
 #[inline(always)]
-pub fn tabulation_hashes<const W: usize>(hash: &TabulationHash, xs: &[u64; W]) -> [u64; W] {
-    let mut acc = [0u64; W];
-    for (i, table) in hash.tables().iter().enumerate() {
+pub fn tabulation_hashes<const W: usize>(
+    hash: &TabulationHash,
+    xs: &[u64; W],
+    bytes: usize,
+) -> [u64; W] {
+    debug_assert!(xs.iter().all(|&x| significant_bytes(x) <= bytes));
+    let mut acc = [hash.zero_tail(bytes); W];
+    for (i, table) in hash.tables()[..bytes].iter().enumerate() {
         for l in 0..W {
             acc[l] ^= table[((xs[l] >> (8 * i)) & 0xff) as usize];
         }
@@ -256,19 +287,52 @@ mod tests {
     }
 
     #[test]
+    fn significant_bytes_splits_at_every_byte_boundary() {
+        assert_eq!(significant_bytes(0), 0);
+        for k in 1..=8 {
+            let low = 1u64 << (8 * (k - 1));
+            assert_eq!(significant_bytes(low), k, "2^{}", 8 * (k - 1));
+            let high = u64::MAX >> (64 - 8 * k);
+            assert_eq!(significant_bytes(high), k, "{high:#x}");
+        }
+    }
+
+    /// The probe set through the full eight-table evaluation, then keys of every
+    /// width `k = 0..=8` through the `k`-table evaluation and every wider one, at
+    /// both lane widths: each lane equals the scalar eight-table hash.
+    #[test]
     fn tabulation_lanes_match_the_scalar_hash() {
+        fn check<const W: usize>(hash: &TabulationHash, keys: &[u64], bytes: usize) {
+            for window in keys.windows(W) {
+                let xs: [u64; W] = window.try_into().unwrap();
+                let got = tabulation_hashes::<W>(hash, &xs, bytes);
+                for l in 0..W {
+                    assert_eq!(
+                        got[l],
+                        hash.hash_u64(xs[l]),
+                        "key {:#x}, {bytes} bytes",
+                        xs[l]
+                    );
+                }
+            }
+        }
         let mut rng = StdRng::seed_from_u64(5);
         let hash = TabulationHash::new(&mut rng);
-        for_each_width(11, |window| {
-            let check = |got: &[u64]| {
-                for (l, &h) in got.iter().enumerate() {
-                    assert_eq!(h, hash.hash_u64(window[l]), "lane {l}");
-                }
+        let probes = probe_items(11);
+        check::<1>(&hash, &probes, 8);
+        check::<8>(&hash, &probes, 8);
+        for k in 0..=8usize {
+            let mask = if k == 8 {
+                u64::MAX
+            } else {
+                (1u64 << (8 * k)) - 1
             };
-            match window.len() {
-                1 => check(&tabulation_hashes::<1>(&hash, window.try_into().unwrap())),
-                _ => check(&tabulation_hashes::<8>(&hash, window.try_into().unwrap())),
+            let mut keys = vec![0, mask, mask >> 1, mask & 0xff];
+            keys.extend((1..64u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask));
+            for bytes in k..=8 {
+                check::<1>(&hash, &keys, bytes);
+                check::<8>(&hash, &keys, bytes);
             }
-        });
+        }
     }
 }

@@ -94,8 +94,8 @@ pub mod wal;
 pub use client::{Client, ClientConfig, ClientCounters, ClientError, LoadGen, LoadReport};
 pub use faults::{CrashPoint, FaultPlan};
 pub use protocol::{
-    Request, Response, ServeError, ServerStatus, TenantStats, TenantStatus, MAX_FRAME,
-    MAX_TENANT_SHARDS,
+    JournalRemedy, Request, Response, ServeError, ServerStatus, TenantStats, TenantStatus,
+    MAX_FRAME, MAX_TENANT_SHARDS,
 };
 pub use server::{EngineFactory, Server, ServerConfig, ServerHandle};
 pub use storage::{RecoveryReport, TenantOutcome, TenantRecovery};

@@ -185,6 +185,30 @@ pub enum ServeError {
     ShuttingDown,
     /// An internal persistence or engine failure, stringified.
     Internal(String),
+    /// An ingest whose journal append or fsync failed: the batch was neither
+    /// applied nor acked, and `remedy` names what brings the tenant back.
+    JournalRefused {
+        /// What the client can do about it.
+        remedy: JournalRemedy,
+        /// The underlying failure, for operators.
+        detail: String,
+    },
+}
+
+/// What clears a [`ServeError::JournalRefused`] refusal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JournalRemedy {
+    /// The journal is clean again (the failed write was rolled back, or the
+    /// applied batches were checkpointed and the journal truncated): retry the
+    /// same seq now.
+    RetryNow,
+    /// The journal refuses appends until a checkpoint truncates it; retry after
+    /// a `Checkpoint` request succeeds.
+    AfterCheckpoint,
+    /// A delta write failed, so the journal is the only durable copy of the
+    /// acked suffix and no checkpoint may truncate it: the tenant refuses ingest
+    /// until the server restarts and recovers.
+    Restart,
 }
 
 impl std::fmt::Display for ServeError {
@@ -200,6 +224,14 @@ impl std::fmt::Display for ServeError {
             ServeError::Protocol(msg) => write!(f, "protocol: {msg}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::Internal(msg) => write!(f, "internal: {msg}"),
+            ServeError::JournalRefused { remedy, detail } => {
+                let remedy = match remedy {
+                    JournalRemedy::RetryNow => "retry now",
+                    JournalRemedy::AfterCheckpoint => "retry after a checkpoint",
+                    JournalRemedy::Restart => "refused until restart",
+                };
+                write!(f, "journal refused the batch ({remedy}): {detail}")
+            }
         }
     }
 }
@@ -444,6 +476,15 @@ fn write_serve_error(w: &mut SnapshotWriter, e: &ServeError) {
             w.u8(7);
             w.str(msg);
         }
+        ServeError::JournalRefused { remedy, detail } => {
+            w.u8(8);
+            w.u8(match remedy {
+                JournalRemedy::RetryNow => 0,
+                JournalRemedy::AfterCheckpoint => 1,
+                JournalRemedy::Restart => 2,
+            });
+            w.str(detail);
+        }
     }
 }
 
@@ -460,6 +501,15 @@ fn read_serve_error(r: &mut SnapshotReader<'_>) -> Result<ServeError, SnapshotEr
         5 => ServeError::Protocol(r.string()?),
         6 => ServeError::ShuttingDown,
         7 => ServeError::Internal(r.string()?),
+        8 => ServeError::JournalRefused {
+            remedy: match r.u8()? {
+                0 => JournalRemedy::RetryNow,
+                1 => JournalRemedy::AfterCheckpoint,
+                2 => JournalRemedy::Restart,
+                _ => return Err(SnapshotError::Corrupt("journal remedy tag")),
+            },
+            detail: r.string()?,
+        },
         _ => return Err(SnapshotError::Corrupt("serve error tag")),
     })
 }

@@ -58,8 +58,8 @@ use fsc_state::delta::{encode_delta, CheckpointChain};
 
 use crate::faults::{CrashPoint, FaultPlan};
 use crate::protocol::{
-    read_frame, valid_tenant_name, write_frame, FrameError, Request, Response, ServeError,
-    ServerStatus, TenantStats, TenantStatus, MAX_TENANT_SHARDS,
+    read_frame, valid_tenant_name, write_frame, FrameError, JournalRemedy, Request, Response,
+    ServeError, ServerStatus, TenantStats, TenantStatus, MAX_TENANT_SHARDS,
 };
 use crate::storage::{
     list_tenants, load_tenant, RecoveryReport, TenantMeta, TenantOutcome, TenantRecovery,
@@ -238,6 +238,21 @@ impl TenantInner {
         }
         written.map_err(|e| format!("writing delta: {e}"))?;
         self.truncate_journal()
+    }
+
+    /// The typed refusal of an ingest whose journal append or fsync failed,
+    /// naming what clears it: nothing (the journal is clean), a checkpoint that
+    /// truncates the poisoned journal, or a restart once a failed delta write
+    /// has made the journal the only durable copy of the acked suffix.
+    fn journal_refusal(&self, detail: String) -> ServeError {
+        let remedy = if !self.wal.is_poisoned() {
+            JournalRemedy::RetryNow
+        } else if self.wal_ok {
+            JournalRemedy::AfterCheckpoint
+        } else {
+            JournalRemedy::Restart
+        };
+        ServeError::JournalRefused { remedy, detail }
     }
 
     /// Empties the journal, unless a failed delta write made it the only
@@ -798,10 +813,8 @@ fn ingest_admitted(shared: &Shared, tenant: &str, seq: u64, items: &[u64]) -> (R
         Ok(WalAppend::Corrupt) => {}
         Ok(WalAppend::Torn) => return (Response::Ok, Control::Crash),
         Err(e) => {
-            return (
-                Response::Error(ServeError::Internal(format!("journal append: {e}"))),
-                Control::None,
-            )
+            let refusal = inner.journal_refusal(format!("journal append: {e}"));
+            return (Response::Error(refusal), Control::None);
         }
     }
     let group_commit = match shared.durability {
@@ -813,16 +826,14 @@ fn ingest_admitted(shared: &Shared, tenant: &str, seq: u64, items: &[u64]) -> (R
         // batch is neither applied nor acked.  Checkpoint the applied batches,
         // which truncates the journal and lifts the poisoning, so the client's
         // retry of this seq appends to a clean journal.  If the checkpoint
-        // fails too, the tenant refuses ingest until one succeeds.
-        let after = match inner.persist(&shared.faults) {
-            Ok(()) if !inner.wal.is_poisoned() => {
-                format!("applied batches checkpointed, retry seq {seq}")
-            }
-            Ok(()) => "ingest refused: the on-disk chain is broken, restart".to_string(),
-            Err(ce) => format!("ingest refused until a checkpoint lands: {ce}"),
+        // fails too, the tenant refuses ingest until one succeeds, or until a
+        // restart if the on-disk chain is broken; the refusal names which.
+        let detail = match inner.persist(&shared.faults) {
+            Ok(()) => format!("journal sync: {e}"),
+            Err(ce) => format!("journal sync: {e}; checkpoint: {ce}"),
         };
         return (
-            Response::Error(ServeError::Internal(format!("journal sync: {e}; {after}"))),
+            Response::Error(inner.journal_refusal(detail)),
             Control::None,
         );
     }

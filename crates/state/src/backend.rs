@@ -230,8 +230,13 @@ mod tests {
         t.begin_epoch();
         t.record_changed_run(Some(r.word(0)), 4);
         let first = t.begin_epochs(3);
-        let addrs: Vec<usize> = SCATTER.iter().map(|&a| r.word(a)).collect();
-        t.record_scatter_epochs(first, 2, &addrs);
+        // Without wear the addresses are never read, so none are computed.
+        let addrs: Vec<usize> = if t.tracks_wear() {
+            SCATTER.iter().map(|&a| r.word(a)).collect()
+        } else {
+            Vec::new()
+        };
+        t.record_scatter_epochs(first, 3, 2, &addrs);
         t.record_reads(3);
         t.snapshot()
     }
@@ -269,7 +274,7 @@ mod tests {
         t.begin_epoch();
         t.record_changed_run(Some(0), 0);
         let first = t.begin_epochs(0);
-        t.record_scatter_epochs(first, 2, &[]);
+        t.record_scatter_epochs(first, 0, 2, &[]);
         let snap = t.snapshot();
         assert_eq!(snap.state_changes, 0);
         assert_eq!(snap.word_writes, 0);
@@ -330,7 +335,7 @@ mod tests {
         t.record_changed_run(Some(r.word(0)), 3);
         assert_eq!(t.state_change_generation(), 5);
         let first = t.begin_epochs(1);
-        t.record_scatter_epochs(first, 2, &[r.word(0), r.word(2)]);
+        t.record_scatter_epochs(first, 1, 2, &[r.word(0), r.word(2)]);
         assert_eq!(t.state_change_generation(), 7);
     }
 

@@ -279,30 +279,41 @@ impl StateTracker {
         }
     }
 
-    /// Activates each reserved epoch `first + i` for `i in 0..addrs.len() / writes`
-    /// in turn and records, within it, one changed write at each address of
-    /// `addrs[i * writes..(i + 1) * writes]` — the bulk equivalent of the per-item
-    /// scatter-accounting loop
+    /// Activates each reserved epoch `first + i` for `i in 0..items` in turn and
+    /// records, within it, `writes` changed writes — the bulk equivalent of the
+    /// per-item scatter-accounting loop
     /// `for each item: enter_epoch(first + i); for each addr: record_write(Some(addr), true)`
     /// used by the lane-packed batch kernels (`writes` probes per item, every probe
-    /// a changed write, as in CountMin/CountSketch).  `addrs.len()` must be a
-    /// multiple of `writes`, and the caller must have reserved the span via
-    /// [`StateTracker::begin_epochs`] without entering any of its epochs.
+    /// a changed write, as in CountMin/CountSketch).  The caller must have reserved
+    /// the span via [`StateTracker::begin_epochs`] without entering any of its
+    /// epochs.
     ///
     /// The counters are updated in constant time: every scatter epoch carries
     /// `writes ≥ 1` changed writes, so each claims exactly one state change and the
     /// clock ends on the last epoch with `last_change == current` — exactly where the
-    /// per-item loop leaves it.  With wear tracking on, one more pass adds each
-    /// address's wear.
+    /// per-item loop leaves it.  With wear tracking on ([`StateTracker::tracks_wear`]),
+    /// `addrs` must hold the `items · writes` written addresses in item order, and
+    /// one more pass adds each address's wear.  With it off, `addrs` is never read,
+    /// so a kernel skips computing addresses and passes an empty slice.
     #[inline]
-    pub fn record_scatter_epochs(&self, first: u64, writes: usize, addrs: &[usize]) {
-        if writes == 0 || addrs.is_empty() {
+    pub fn record_scatter_epochs(&self, first: u64, items: u64, writes: usize, addrs: &[usize]) {
+        if writes == 0 || items == 0 {
             return;
         }
-        debug_assert_eq!(addrs.len() % writes, 0);
-        let n = (addrs.len() / writes) as u64;
-        self.count_claimed_run(first, n, addrs.len() as u64);
-        self.add_wear(addrs, 1);
+        let total = items * writes as u64;
+        self.count_claimed_run(first, items, total);
+        if self.counters.address_tracked {
+            debug_assert_eq!(addrs.len() as u64, total, "one address per write");
+            self.add_wear(addrs, 1);
+        }
+    }
+
+    /// Whether this tracker keeps per-address wear
+    /// ([`TrackerKind::FullAddressTracked`]).  Batch kernels compute write
+    /// addresses only when it does (see [`StateTracker::record_scatter_epochs`]).
+    #[inline]
+    pub fn tracks_wear(&self) -> bool {
+        self.counters.address_tracked
     }
 
     /// Records `n` word reads.

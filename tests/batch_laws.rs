@@ -8,7 +8,10 @@
 //! (the only other impl, the bench-only `LegacyRowsCountMin` reference in
 //! `fsc-bench`, uses the default batch path by construction).  Algorithms whose
 //! constructors accept a tracker run under `StateTracker::with_address_tracking`,
-//! so the comparison pins the full wear table, not just aggregate counters.
+//! so the comparison pins the full wear table, not just aggregate counters.  The
+//! lane-packed sketches also run under the plain exact tracker, whose kernels skip
+//! the wear-address pass, and over streams whose blocks mix key widths, since their
+//! tabulation hash looks up only the key bytes a block sets.
 
 use few_state_changes::algorithms::sparse_recovery::FewStateSparseRecovery;
 use few_state_changes::algorithms::{
@@ -20,7 +23,7 @@ use few_state_changes::baselines::{
     SpaceSaving,
 };
 use few_state_changes::state::{
-    EntropyEstimator, FrequencyEstimator, MomentEstimator, StateTracker, StreamAlgorithm,
+    EntropyEstimator, FrequencyEstimator, MomentEstimator, Snapshot, StateTracker, StreamAlgorithm,
     SupportRecovery, TrackerKind,
 };
 use few_state_changes::streamgen::zipf::zipf_stream;
@@ -28,20 +31,33 @@ use few_state_changes::streamgen::zipf::zipf_stream;
 use proptest::prelude::*;
 
 /// Drives one instance per item and a twin in batches cut at `cuts` (empty batches
-/// included), then asserts report, wear-table, and answer-digest equality.
+/// included), both on address-tracked trackers, then asserts report, wear-table,
+/// and answer-digest equality.
 fn check_batch_law<A: StreamAlgorithm>(
     make: impl Fn(&StateTracker) -> A,
     digest: impl Fn(&A) -> Vec<u64>,
     stream: &[u64],
     cuts: &[usize],
 ) {
-    let t_item = StateTracker::with_address_tracking();
+    check_batch_law_as(TrackerKind::FullAddressTracked, make, digest, stream, cuts);
+}
+
+/// [`check_batch_law`] on trackers of `kind`; the wear tables are compared where
+/// `kind` keeps them (both are `None` otherwise).
+fn check_batch_law_as<A: StreamAlgorithm>(
+    kind: TrackerKind,
+    make: impl Fn(&StateTracker) -> A,
+    digest: impl Fn(&A) -> Vec<u64>,
+    stream: &[u64],
+    cuts: &[usize],
+) {
+    let t_item = StateTracker::of_kind(kind);
     let mut per_item = make(&t_item);
     for &x in stream {
         per_item.update(x);
     }
 
-    let t_batch = StateTracker::with_address_tracking();
+    let t_batch = StateTracker::of_kind(kind);
     let mut batched = make(&t_batch);
     let mut sorted: Vec<usize> = cuts.iter().map(|&c| c.min(stream.len())).collect();
     sorted.sort_unstable();
@@ -52,7 +68,7 @@ fn check_batch_law<A: StreamAlgorithm>(
     }
     batched.process_batch(&stream[prev..]);
 
-    let name = per_item.name().to_string();
+    let name = format!("{} [{kind:?}]", per_item.name());
     assert_eq!(
         batched.report(),
         per_item.report(),
@@ -77,6 +93,76 @@ fn frequency_digest<A: FrequencyEstimator>(alg: &A) -> Vec<u64> {
     out.extend(items.iter().map(|&i| alg.estimate(i).to_bits()));
     out.extend((0u64..64).map(|i| alg.estimate(i).to_bits()));
     out
+}
+
+/// [`frequency_digest`] plus the checkpoint bytes: the whole counter table and
+/// tracker state, so a probe that lands in the wrong cell shows even where no
+/// queried estimate moves.
+fn table_digest<A: FrequencyEstimator + Snapshot>(alg: &A) -> Vec<u64> {
+    let mut d = frequency_digest(alg);
+    d.extend(alg.checkpoint().into_iter().map(u64::from));
+    d
+}
+
+/// Items per block of the lane-packed kernels (`LANE_BLOCK` in `fsc-baselines`):
+/// the unit whose keys share one significant-byte count.
+const BLOCK: usize = 256;
+
+/// A stream whose blocks, fed as one batch, mix key widths: an all-zero block;
+/// a narrow block holding one `u64::MAX`; for each `k = 1..=8`, a block of keys
+/// below `2^(8k)` that holds `2^(8k) − 1`; and a last block of every
+/// `2^(8k) − 1` / `2^(8k)` boundary pair, each key twice.
+fn mixed_width_stream(seed: u64) -> Vec<u64> {
+    let mut stream = vec![0u64; BLOCK];
+    let mut narrow = zipf_stream(256, BLOCK, 1.1, seed);
+    narrow[BLOCK / 3] = u64::MAX;
+    stream.extend(narrow);
+    let mut x = seed;
+    for k in 1..=8u32 {
+        let mask = u64::MAX >> (64 - 8 * k);
+        stream.push(mask);
+        stream.extend((1..BLOCK).map(|_| {
+            x = x
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x14057B7EF767814F);
+            (x >> 7) & mask
+        }));
+    }
+    for k in 1..8u32 {
+        let boundary = 1u64 << (8 * k);
+        stream.extend([boundary - 1, boundary, boundary - 1, boundary]);
+    }
+    stream
+}
+
+/// Blocks of every key width, cut as one batch (blocks aligned as built) and at
+/// offsets that realign them, under both tracker kinds and every lane width.
+#[test]
+fn mixed_width_blocks_obey_the_batch_law() {
+    let cut_sets: [&[usize]; 4] = [&[], &[1], &[BLOCK - 1, BLOCK + 1], &[100, 700, 1500, 2100]];
+    for seed in [1u64, 2, 3] {
+        let stream = mixed_width_stream(seed);
+        for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
+            for &w in &few_state_changes::counters::lanes::LANE_WIDTHS {
+                for cuts in cut_sets {
+                    check_batch_law_as(
+                        kind,
+                        |t| CountMin::with_tracker(t, 64, 4, seed).with_lanes(w),
+                        table_digest,
+                        &stream,
+                        cuts,
+                    );
+                    check_batch_law_as(
+                        kind,
+                        |t| CountSketch::with_tracker(t, 64, 3, seed).with_lanes(w),
+                        table_digest,
+                        &stream,
+                        cuts,
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -219,10 +305,11 @@ proptest! {
     /// Lane-width sweep: the lane-packed sketch kernels must be bit-identical to
     /// the per-item path — answers, StateReports, and per-address wear — at
     /// *every* supported width (1 is the scalar fallback, 8 the default), for
-    /// random batch splits and seeds.  The per-width instances also run under
-    /// address tracking, so a lane kernel that writes the right totals to the
-    /// wrong cells (or in the wrong epochs) is caught here, not just one that
-    /// miscounts.
+    /// random batch splits and seeds.  The per-width instances run under address
+    /// tracking, so a lane kernel that writes the right totals to the wrong cells
+    /// (or in the wrong epochs) is caught here, not just one that miscounts; and
+    /// CountMin and CountSketch run under the plain exact tracker too, whose
+    /// kernels skip the address pass.
     #[test]
     fn lane_widths_are_observably_identical(
         seed in 0u64..1_000,
@@ -232,18 +319,22 @@ proptest! {
         let stream = zipf_stream(256, len, 1.1, seed);
 
         for &w in &few_state_changes::counters::lanes::LANE_WIDTHS {
-            check_batch_law(
-                |t| CountMin::with_tracker(t, 64, 4, seed).with_lanes(w),
-                frequency_digest,
-                &stream,
-                &cuts,
-            );
-            check_batch_law(
-                |t| CountSketch::with_tracker(t, 64, 3, seed).with_lanes(w),
-                frequency_digest,
-                &stream,
-                &cuts,
-            );
+            for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
+                check_batch_law_as(
+                    kind,
+                    |t| CountMin::with_tracker(t, 64, 4, seed).with_lanes(w),
+                    table_digest,
+                    &stream,
+                    &cuts,
+                );
+                check_batch_law_as(
+                    kind,
+                    |t| CountSketch::with_tracker(t, 64, 3, seed).with_lanes(w),
+                    table_digest,
+                    &stream,
+                    &cuts,
+                );
+            }
             check_batch_law(
                 |t| AmsSketch::with_tracker(t, 3, 16, seed).with_lanes(w),
                 |a| vec![a.estimate_moment().to_bits()],

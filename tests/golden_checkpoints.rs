@@ -9,6 +9,8 @@
 //! checkpoint length, an FNV-1a digest of the checkpoint bytes, and the full
 //! [`StateReport`] under the address-tracked backend.  One input keeps every held
 //! counter; the other overflows the counter budget, so maintenance drops counters.
+//! `CountMin`, the baseline kernel under every serve tenant, is pinned on the
+//! first input under both tracker kinds.
 //!
 //! A hot-path optimisation must leave every entry unchanged.  An *intentional*
 //! behaviour change re-records the table from the failure messages (each prints the
@@ -17,7 +19,8 @@
 use few_state_changes::algorithms::{
     FewStateHeavyHitters, FpEstimator, FullSampleAndHold, Params, SampleAndHold,
 };
-use few_state_changes::state::{Snapshot, StateReport, StreamAlgorithm, TrackerKind};
+use few_state_changes::baselines::CountMin;
+use few_state_changes::state::{Snapshot, StateReport, StateTracker, StreamAlgorithm, TrackerKind};
 use few_state_changes::streamgen::zipf::zipf_stream;
 
 /// Length of every golden stream.
@@ -275,4 +278,60 @@ fn fp_estimator_checkpoint_under_maintenance_is_golden() {
             },
         },
     );
+}
+
+/// CountMin, the write-every-update baseline under every serve tenant: its
+/// batch kernel's hash, accounting and wear paths are pinned under both tracker
+/// kinds (the plain exact tracker skips the wear-address pass).
+#[test]
+fn count_min_checkpoint_is_golden() {
+    for (kind, golden) in [
+        (
+            TrackerKind::FullAddressTracked,
+            Golden {
+                len: 65_665,
+                fnv: 0xbed6_9488_192c_0190,
+                report: StateReport {
+                    state_changes: 16_384,
+                    word_writes: 69_632,
+                    redundant_writes: 0,
+                    reads: 65_536,
+                    epochs: 16_384,
+                    words_current: 4_096,
+                    words_peak: 4_096,
+                    max_cell_writes: Some(2_656),
+                    tracked_cells: Some(4_096),
+                    total_addr_writes: Some(69_632),
+                },
+            },
+        ),
+        (
+            TrackerKind::Full,
+            Golden {
+                len: 32_889,
+                fnv: 0x2082_421b_1dd3_5e8c,
+                report: StateReport {
+                    state_changes: 16_384,
+                    word_writes: 69_632,
+                    redundant_writes: 0,
+                    reads: 65_536,
+                    epochs: 16_384,
+                    words_current: 4_096,
+                    words_peak: 4_096,
+                    max_cell_writes: None,
+                    tracked_cells: None,
+                    total_addr_writes: None,
+                },
+            },
+        ),
+    ] {
+        let tracker = StateTracker::of_kind(kind);
+        let label = format!("CountMin [{kind:?}]");
+        check(
+            &label,
+            CountMin::with_tracker(&tracker, 1024, 4, 0x601D),
+            &STEADY,
+            &golden,
+        );
+    }
 }

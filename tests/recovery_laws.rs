@@ -28,8 +28,8 @@ use fsc_engine::EngineConfig;
 use fsc_serve::faults::splitmix64;
 use fsc_serve::wal::{scan, Wal, WAL_HEADER};
 use fsc_serve::{
-    Client, ClientConfig, ClientError, CrashPoint, Durability, FaultPlan, ServeError, Server,
-    ServerConfig, ServerHandle,
+    Client, ClientConfig, ClientError, CrashPoint, Durability, FaultPlan, JournalRemedy,
+    ServeError, Server, ServerConfig, ServerHandle,
 };
 use fsc_state::{Answer, Query};
 use proptest::prelude::*;
@@ -413,9 +413,16 @@ fn a_failed_fsync_loses_no_acked_batch() {
         for (seq, batch) in work.iter().enumerate() {
             let seq = seq as u64;
             if seq == failing_seq {
+                // The checkpoint truncated the journal: the refusal says retry now.
                 let refused = c.ingest("t0", seq, batch);
                 assert!(
-                    matches!(refused, Err(ClientError::Server(ServeError::Internal(_)))),
+                    matches!(
+                        refused,
+                        Err(ClientError::Server(ServeError::JournalRefused {
+                            remedy: JournalRemedy::RetryNow,
+                            ..
+                        }))
+                    ),
                     "{durability}: seq {seq} must fail typed, got {refused:?}"
                 );
             }
@@ -441,6 +448,66 @@ fn a_failed_fsync_loses_no_acked_batch() {
         server.stop().expect("stop");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A failed fsync whose checkpoint then tears leaves the journal the only
+/// durable copy of the acked batches, so nothing may truncate it: the tenant
+/// refuses ingest, typed `Restart`, and a client `Checkpoint` does not lift
+/// that.  A restart recovers every acked batch, and ingest carries on.
+#[test]
+fn a_failed_fsync_after_a_torn_checkpoint_is_refused_until_restart() {
+    let work = batches(5, 32, 0x7E_5EED);
+    let probes = probes();
+    let dir = tmp_dir("failed-sync-torn-delta");
+    // Durable mode syncs every append, so seq 2 asks for the third fsync.  The
+    // base checkpoint is durable blob 1; blob 2 is the delta the server writes
+    // after the failed fsync.
+    let faults = FaultPlan::seeded(7)
+        .with_failed_sync(3)
+        .with_torn_write(2)
+        .with_crash_frame();
+    let (server, _) = start(&dir, faults, Durability::AckAfterDurable, 8);
+    let mut c = Client::new(server.addr(), ClientConfig::default());
+    c.create_tenant("t0", "count_min", 2).expect("create");
+    for (seq, batch) in work.iter().enumerate().take(2) {
+        c.ingest("t0", seq as u64, batch).expect("ack");
+    }
+    let refused_until_restart = |r: &Result<bool, ClientError>| {
+        matches!(
+            r,
+            Err(ClientError::Server(ServeError::JournalRefused {
+                remedy: JournalRemedy::Restart,
+                ..
+            }))
+        )
+    };
+    let first = c.ingest("t0", 2, &work[2]);
+    assert!(refused_until_restart(&first), "failed fsync: {first:?}");
+    c.checkpoint("t0")
+        .expect("a checkpoint with nothing new succeeds");
+    let again = c.ingest("t0", 2, &work[2]);
+    assert!(
+        refused_until_restart(&again),
+        "after a checkpoint: {again:?}"
+    );
+    c.crash();
+    server.join();
+
+    let (server, _) = start(&dir, FaultPlan::none(), Durability::AckAfterDurable, 8);
+    let mut c = Client::new(server.addr(), ClientConfig::default());
+    // Seq 2's record reached the journal before its fsync failed, so recovery
+    // may replay it; its retry then acks without re-applying.
+    for (seq, batch) in work.iter().enumerate().skip(2) {
+        c.ingest("t0", seq as u64, batch)
+            .unwrap_or_else(|e| panic!("seq {seq} after restart: {e}"));
+    }
+    assert_eq!(
+        served_answers(&mut c, &probes),
+        twin_answers(&work, work.len(), &probes),
+        "restart answers as the twin of every batch"
+    );
+    server.stop().expect("stop");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- journals written by an earlier build -------------------------------------

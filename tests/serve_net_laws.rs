@@ -25,7 +25,9 @@ use std::time::Duration;
 use fsc_bench::registry::serve_factory;
 use fsc_engine::EngineConfig;
 use fsc_serve::faults::splitmix64;
-use fsc_serve::protocol::{read_frame, write_frame, Request, Response, ServeError, MAX_FRAME};
+use fsc_serve::protocol::{
+    read_frame, write_frame, JournalRemedy, Request, Response, ServeError, MAX_FRAME,
+};
 use fsc_serve::storage::{TenantMeta, TenantOutcome};
 use fsc_serve::{
     Client, ClientConfig, FaultPlan, Server, ServerConfig, ServerHandle, MAX_TENANT_SHARDS,
@@ -102,7 +104,7 @@ fn arb_answer(rng: &mut u64) -> Answer {
 }
 
 fn arb_error(rng: &mut u64) -> ServeError {
-    match splitmix64(rng) % 8 {
+    match splitmix64(rng) % 9 {
         0 => ServeError::UnknownTenant(arb_name(rng)),
         1 => ServeError::TenantExists(arb_name(rng)),
         2 => ServeError::UnknownAlgorithm(arb_name(rng)),
@@ -113,7 +115,15 @@ fn arb_error(rng: &mut u64) -> ServeError {
         },
         5 => ServeError::Protocol(arb_name(rng)),
         6 => ServeError::ShuttingDown,
-        _ => ServeError::Internal(arb_name(rng)),
+        7 => ServeError::Internal(arb_name(rng)),
+        _ => ServeError::JournalRefused {
+            remedy: [
+                JournalRemedy::RetryNow,
+                JournalRemedy::AfterCheckpoint,
+                JournalRemedy::Restart,
+            ][(splitmix64(rng) % 3) as usize],
+            detail: arb_name(rng),
+        },
     }
 }
 
