@@ -62,28 +62,7 @@ fn main() {
         }),
         Box::new(move || experiments::sharding::run(scale).0.render()),
         Box::new(move || experiments::engine::run(scale).0.render()),
-        Box::new(move || {
-            let mut out = experiments::serve::run(scale).0.render();
-            out.push_str(
-                &experiments::serve::staleness_table(&experiments::serve::staleness(scale))
-                    .render(),
-            );
-            out.push_str(
-                &experiments::serve::concurrent_table(&experiments::serve::concurrent(scale))
-                    .render(),
-            );
-            out
-        }),
-        Box::new(move || {
-            let mut out = experiments::serve_net::run(scale).0.render();
-            out.push_str(&experiments::serve_net::fault_matrix().0.render());
-            out
-        }),
-        Box::new(move || {
-            let mut out = experiments::recovery::crash_matrix().0.render();
-            out.push_str(&experiments::recovery::cadence_sweep(scale).0.render());
-            out
-        }),
+        Box::new(move || experiments::recovery::cadence_sweep(scale).0.render()),
     ];
 
     // Print progressively: finished cells are buffered only until every earlier cell

@@ -11,8 +11,6 @@ pub mod nvm;
 pub mod p_small;
 pub mod recovery;
 pub mod scaling;
-pub mod serve;
-pub mod serve_net;
 pub mod sharding;
 pub mod table1;
 pub mod throughput;

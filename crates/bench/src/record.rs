@@ -1,7 +1,7 @@
 //! One path for the `BENCH_*.json` records.
 //!
 //! Every record is hand-rolled JSON (the workspace is offline and carries no
-//! serde).  The throughput, serve, serve-net and recovery records carry a
+//! serde).  The throughput and recovery records carry a
 //! `trajectory` array with one dated entry per recording: a run carries the
 //! recorded entries forward verbatim ([`carry_forward`]) and appends its own,
 //! and [`write()`] refuses a record whose trajectory is not a verbatim, in-order
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn committed_records_carry_forward_as_a_verbatim_prefix() {
-        for experiment in ["throughput", "serve"] {
+        for experiment in ["throughput", "recovery"] {
             let path = default_out(experiment, Scale::Full);
             let committed = std::fs::read_to_string(&path).expect("committed record");
             let recorded = trajectory_inner(&committed).expect("committed trajectory");
@@ -270,8 +270,8 @@ mod tests {
         assert!(check_keys("{\"a\": 1}", &["\"a\":"]).is_ok());
         let err = check_keys("{}", &["\"a\":"]).unwrap_err();
         assert!(err.contains("\"a\":"), "{err}");
-        assert!(default_out("serve", Scale::Full).ends_with("/../../BENCH_serve.json"));
-        assert!(default_out("serve", Scale::Quick).ends_with("BENCH_serve.quick.json"));
+        assert!(default_out("recovery", Scale::Full).ends_with("/../../BENCH_recovery.json"));
+        assert!(default_out("recovery", Scale::Quick).ends_with("BENCH_recovery.quick.json"));
         let date = today();
         assert_eq!(date.len(), 10, "{date}");
         assert_eq!(&date[4..5], "-");

@@ -7,8 +7,9 @@
 //! configured occurrence count, with any remaining nondeterminism (where a torn
 //! write tears, which byte a corruption flips) drawn from a seeded SplitMix64
 //! stream.  Runs with the same plan and seed inject byte-identical faults, which
-//! is what lets the fault-matrix drill in `fig_serve_net` assert *exact*
-//! recovery instead of "it probably worked".
+//! is what lets the law tests in `tests/serve_net_laws.rs` and
+//! `tests/recovery_laws.rs` assert *exact* recovery instead of "it probably
+//! worked".
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -77,9 +77,10 @@
 //! recovered batches ack without re-applying.  In
 //! [`Durability::AckAfterDurable`] mode the
 //! law holds against power loss too: the journal append is fsynced before
-//! every ack.  `fig_serve_net` drills the fault classes (torn writes, corrupt
-//! tips, dropped connections, overload) and `fig_recovery` sweeps the crash
-//! points, both with exact-equality checks and a non-zero exit on divergence.
+//! every ack.  The law tests drill the fault classes against registry twins:
+//! `tests/serve_net_laws.rs` the torn checkpoint writes, corrupt chain tips,
+//! dropped connections and overload, and `tests/recovery_laws.rs` every crash
+//! point, torn and corrupt journal appends, and power loss.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -41,8 +41,9 @@
 //! [`Durability::AckAfterApply`] batches fsyncs every
 //! [`ServerConfig::group_commit`] appends — a process kill still loses nothing
 //! (the page cache survives), and power loss is bounded by the group-commit
-//! window.  The recovery law is drilled end to end by `fig_serve_net` and the
-//! crash-point sweep of `fig_recovery`.
+//! window.  The recovery law is drilled end to end by the law tests
+//! `recovery_laws::durable_mode_loses_no_acked_batch_at_any_crash_point` and
+//! `recovery_laws::relaxed_power_loss_is_bounded_by_the_group_commit_window`.
 
 use std::collections::HashMap;
 use std::io;

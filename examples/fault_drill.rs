@@ -17,8 +17,9 @@
 //! acked prefix; the client re-sends from its own cursor and converges.
 //!
 //! The same loops, with torn journal appends, corrupt records, and simulated
-//! power loss layered in, are what `fig_recovery` and the `recovery_laws`
-//! suite drill in CI.
+//! power loss layered in, are what the `recovery_laws` suite drills in CI
+//! (`durable_mode_loses_no_acked_batch_at_any_crash_point` and
+//! `relaxed_power_loss_is_bounded_by_the_group_commit_window`).
 //!
 //! Run with: `cargo run --release --example fault_drill`
 

@@ -8,13 +8,15 @@
 //!   (seeded cuts of a real tenant's journal).
 //! * **Zero acked-write loss** — in `AckAfterDurable` mode, a crash injected
 //!   at *every* point inside the ingest write path (before the journal
-//!   append, after it, after the in-memory apply) and at every batch position
-//!   recovers a server that answers exactly like a registry twin fed at least
-//!   every acked batch.
-//! * **Bounded relaxed loss** — in the default `AckAfterApply` mode, a
-//!   simulated power loss (journal truncated to its fsynced boundary) loses
-//!   at most one group-commit window of acked batches, and the sequence-
-//!   numbered client replays the tail to exact convergence.
+//!   append, after it, after the in-memory apply, and a torn append) and at
+//!   every batch position recovers a server that answers exactly like a
+//!   registry twin fed at least every acked batch; so does a process kill in
+//!   either mode.  A corrupt journal record is truncated typed, and the
+//!   client's replay converges to the full twin after every one of them.
+//! * **Bounded power loss** — a simulated power loss (journal truncated to
+//!   its fsynced boundary) loses at most one group-commit window of acked
+//!   batches in the default `AckAfterApply` mode and none in durable mode,
+//!   and the sequence-numbered client replays the tail to exact convergence.
 //! * **A failed fsync loses nothing acked** — in both modes, a journal fsync
 //!   that fails, the client's retry of that seq, more acked batches and a
 //!   crash recover exactly the twin of every acked batch.
@@ -239,26 +241,69 @@ proptest! {
 
 // --- the zero-acked-loss law --------------------------------------------------
 
-/// In durable mode, crash at every point inside the write path × every batch
-/// position: the restart must hold at least every acked batch and answer
-/// exactly like the twin of what it holds.
+/// The fault one run of the crash-point law injects into the ingest path.
+#[derive(Debug, Clone, Copy)]
+enum Inject {
+    /// The server dies at this point inside the nth ingest.
+    CrashAt(CrashPoint),
+    /// The nth journal append writes only a prefix of its record, and the
+    /// server dies with it.
+    TornAppend,
+    /// One byte of the nth journal record is flipped on its way to the file:
+    /// latent media damage.  The server keeps running and acking.
+    CorruptRecord,
+    /// No fault: every batch is acked, then the process is killed.
+    Kill,
+}
+
+/// Crash at every point inside the write path × every batch position, with a
+/// checkpoint after the second batch, so recovery runs chain plus journal:
+/// the restart must hold at least every acked batch, answer exactly like the
+/// twin of what it holds, refuse a re-sent survivor, and converge to the full
+/// twin when the client replays the rest.  A torn append and a plain process
+/// kill (in both modes: the page cache outlives a dead process) are crashes
+/// too.  A corrupt record is not a crash but latent damage: recovery truncates
+/// the journal at it, typed, which loses the acked batches from that record on
+/// until the client replays them.
 #[test]
 fn durable_mode_loses_no_acked_batch_at_any_crash_point() {
+    const CHECKPOINT_AFTER: u64 = 2;
     let work = batches(5, 32, 0xD0_5EED);
+    let last = work.len() as u64;
     let probes = probes();
-    for point in [
+    let durable = Durability::AckAfterDurable;
+    // (mode, fault, the ingests or appends it is armed at)
+    let mut runs: Vec<(Durability, Inject, Vec<u64>)> = [
         CrashPoint::BeforeJournal,
         CrashPoint::AfterJournal,
         CrashPoint::AfterApply,
-    ] {
-        for nth in 1..=work.len() as u64 {
-            let dir = tmp_dir(&format!("crash-{point:?}-{nth}"));
-            let (server, _) = start(
-                &dir,
-                FaultPlan::seeded(nth).with_crash_at(point, nth),
-                Durability::AckAfterDurable,
-                8,
-            );
+    ]
+    .into_iter()
+    .map(|point| (durable, Inject::CrashAt(point), (1..=last).collect()))
+    .collect();
+    runs.extend([
+        (durable, Inject::TornAppend, (1..=last).collect()),
+        // Records the checkpoint has not truncated away.
+        (
+            durable,
+            Inject::CorruptRecord,
+            (CHECKPOINT_AFTER + 1..=last).collect(),
+        ),
+        (durable, Inject::Kill, vec![0]),
+        (Durability::AckAfterApply, Inject::Kill, vec![0]),
+    ]);
+    for (durability, inject, positions) in runs {
+        for nth in positions {
+            let case = format!("{durability} {inject:?} at {nth}");
+            let dir = tmp_dir(&format!("crash-{durability}-{inject:?}-{nth}"));
+            let plan = FaultPlan::seeded(nth).with_crash_frame();
+            let plan = match inject {
+                Inject::CrashAt(point) => plan.with_crash_at(point, nth),
+                Inject::TornAppend => plan.with_torn_wal_append(nth),
+                Inject::CorruptRecord => plan.with_corrupt_wal_record(nth),
+                Inject::Kill => plan,
+            };
+            let (server, _) = start(&dir, plan, durability, 8);
             // No retries: the armed crash must surface as the failed ingest
             // it is, never be re-attempted against a dying server.  The long
             // timeout keeps a loaded test machine from faking an early death
@@ -278,31 +323,71 @@ fn durable_mode_loses_no_acked_batch_at_any_crash_point() {
                     Ok(_) => acked += 1,
                     Err(_) => break,
                 }
+                if acked == CHECKPOINT_AFTER {
+                    c.checkpoint("t0").expect("checkpoint");
+                }
             }
-            assert_eq!(
-                acked,
-                nth - 1,
-                "{point:?} at {nth}: the nth ingest dies unacked"
-            );
+            let dies_unacked = matches!(inject, Inject::CrashAt(_) | Inject::TornAppend);
+            let expected_acked = if dies_unacked { nth - 1 } else { last };
+            assert_eq!(acked, expected_acked, "{case}: acked batches");
+            if !dies_unacked {
+                c.crash();
+            }
             server.join();
 
-            let (server, report) = start(&dir, FaultPlan::none(), Durability::AckAfterDurable, 8);
-            assert_eq!(report.recovered(), 1, "{point:?} at {nth}: {report}");
+            let (server, report) = start(&dir, FaultPlan::none(), durability, 8);
+            assert_eq!(report.recovered(), 1, "{case}: {report}");
+            let truncated = report.total_wal_truncated_bytes();
+            match inject {
+                Inject::TornAppend | Inject::CorruptRecord => assert!(
+                    truncated > 0 && report.total_discarded() == 0,
+                    "{case}: the damaged journal tail is truncated typed: {report}"
+                ),
+                Inject::CrashAt(_) | Inject::Kill => assert!(
+                    report.is_clean(),
+                    "{case}: a crash between writes damages nothing: {report}"
+                ),
+            }
+            let journal = std::fs::read(fsc_serve::wal::wal_path(&dir.join("t0")));
             assert!(
-                report.is_clean(),
-                "{point:?} at {nth}: a crash between writes damages nothing: {report}"
+                scan(&journal.expect("read journal")).damage.is_none(),
+                "{case}: recovery leaves a journal that re-scans clean"
             );
             let mut c = Client::new(server.addr(), ClientConfig::default());
             let next_seq = c.stats("t0").expect("stats").next_seq;
-            assert!(
-                next_seq >= acked,
-                "{point:?} at {nth}: recovered {next_seq} < acked {acked} — an \
-                 acknowledged batch was lost"
-            );
+            if let Inject::CorruptRecord = inject {
+                assert_eq!(
+                    next_seq,
+                    nth - 1,
+                    "{case}: recovery stops at the corrupt record"
+                );
+            } else {
+                assert!(
+                    next_seq >= acked,
+                    "{case}: recovered {next_seq} < acked {acked} — an acknowledged \
+                     batch was lost"
+                );
+            }
             assert_eq!(
                 served_answers(&mut c, &probes),
                 twin_answers(&work, next_seq as usize, &probes),
-                "{point:?} at {nth}: restart must answer as the {next_seq}-batch twin"
+                "{case}: restart must answer as the {next_seq}-batch twin"
+            );
+            if next_seq > 0 {
+                let survivor = next_seq - 1;
+                assert!(
+                    !c.ingest("t0", survivor, &work[survivor as usize])
+                        .expect("duplicate resend"),
+                    "{case}: recovered batch {survivor} must not re-apply"
+                );
+            }
+            for seq in next_seq..last {
+                c.ingest("t0", seq, &work[seq as usize]).expect("replay");
+            }
+            assert_eq!(
+                served_answers(&mut c, &probes),
+                twin_answers(&work, work.len(), &probes),
+                "{case}: replay converges to the full twin"
             );
             server.stop().expect("stop");
             let _ = std::fs::remove_dir_all(&dir);
@@ -312,73 +397,84 @@ fn durable_mode_loses_no_acked_batch_at_any_crash_point() {
 
 // --- bounded relaxed loss -----------------------------------------------------
 
-/// In the relaxed default, power loss costs at most one group-commit window
-/// of acked batches — and the client replays back to exact convergence.
+/// Power loss keeps only what was fsynced.  In the relaxed default that costs
+/// at most one group-commit window of acked batches, and the client replays
+/// back to exact convergence; in durable mode every acked append was fsynced,
+/// so nothing acked is lost.
 #[test]
 fn relaxed_power_loss_is_bounded_by_the_group_commit_window() {
     const GROUP_COMMIT: u64 = 4;
     let work = batches(6, 32, 0x9_5EED);
+    let appends = work.len() as u64;
     let probes = probes();
-    let dir = tmp_dir("power-loss");
+    // 6 appends at window 4 ⇒ 4 survive in relaxed mode, all 6 in durable mode.
+    for (durability, synced) in [
+        (
+            Durability::AckAfterApply,
+            appends / GROUP_COMMIT * GROUP_COMMIT,
+        ),
+        (Durability::AckAfterDurable, appends),
+    ] {
+        let dir = tmp_dir(&format!("power-loss-{durability}"));
+        let (server, _) = start(
+            &dir,
+            FaultPlan::seeded(3).with_crash_frame(),
+            durability,
+            GROUP_COMMIT,
+        );
+        let mut c = Client::new(server.addr(), ClientConfig::default());
+        c.create_tenant("t0", "count_min", 2).expect("create");
+        for (seq, batch) in work.iter().enumerate() {
+            // `applied` not asserted: a lost ack plus a retry is a legal duplicate.
+            c.ingest("t0", seq as u64, batch).expect("ingest");
+        }
+        c.crash();
+        server.join();
 
-    let (server, _) = start(
-        &dir,
-        FaultPlan::seeded(3).with_crash_frame(),
-        Durability::AckAfterApply,
-        GROUP_COMMIT,
-    );
-    let mut c = Client::new(server.addr(), ClientConfig::default());
-    c.create_tenant("t0", "count_min", 2).expect("create");
-    for (seq, batch) in work.iter().enumerate() {
-        // `applied` not asserted: a lost ack plus a retry is a legal duplicate.
-        c.ingest("t0", seq as u64, batch).expect("ingest");
+        // Power loss: the file keeps only what was fsynced.
+        let record_bytes = 20 + 8 * 32u64;
+        let path = fsc_serve::wal::wal_path(&dir.join("t0"));
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .expect("open journal");
+        assert!(
+            file.metadata().expect("stat").len() >= WAL_HEADER + synced * record_bytes,
+            "{durability}: the journal holds every synced record"
+        );
+        file.set_len(WAL_HEADER + synced * record_bytes)
+            .expect("truncate to the fsynced boundary");
+        drop(file);
+
+        let (server, report) = start(&dir, FaultPlan::none(), durability, GROUP_COMMIT);
+        assert_eq!(report.recovered(), 1, "{durability}: {report}");
+        let mut c = Client::new(server.addr(), ClientConfig::default());
+        let next_seq = c.stats("t0").expect("stats").next_seq;
+        let lost = appends - next_seq;
+        assert!(
+            lost <= GROUP_COMMIT,
+            "{durability}: lost {lost} acked batches, more than the group-commit window"
+        );
+        assert_eq!(
+            next_seq, synced,
+            "{durability}: exactly the unsynced tail is lost"
+        );
+        assert_eq!(
+            served_answers(&mut c, &probes),
+            twin_answers(&work, next_seq as usize, &probes)
+        );
+        // The sequence-numbered client replays the lost tail exactly once.
+        for seq in next_seq..appends {
+            c.ingest("t0", seq, &work[seq as usize]).expect("replay");
+        }
+        assert_eq!(
+            served_answers(&mut c, &probes),
+            twin_answers(&work, work.len(), &probes),
+            "{durability}: replay converges to the full twin"
+        );
+        server.stop().expect("stop");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    c.crash();
-    server.join();
-
-    // Power loss: the file keeps only what was fsynced — whole group-commit
-    // windows.  6 appends at window 4 ⇒ 4 survive.
-    let record_bytes = 20 + 8 * 32u64;
-    let synced = (work.len() as u64 / GROUP_COMMIT) * GROUP_COMMIT;
-    let path = fsc_serve::wal::wal_path(&dir.join("t0"));
-    let file = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&path)
-        .expect("open journal");
-    file.set_len(WAL_HEADER + synced * record_bytes)
-        .expect("truncate to the fsynced boundary");
-    drop(file);
-
-    let (server, report) = start(
-        &dir,
-        FaultPlan::none(),
-        Durability::AckAfterApply,
-        GROUP_COMMIT,
-    );
-    assert_eq!(report.recovered(), 1, "{report}");
-    let mut c = Client::new(server.addr(), ClientConfig::default());
-    let next_seq = c.stats("t0").expect("stats").next_seq;
-    let lost = work.len() as u64 - next_seq;
-    assert!(
-        lost <= GROUP_COMMIT,
-        "lost {lost} acked batches, more than the group-commit window"
-    );
-    assert_eq!(next_seq, synced, "exactly the unsynced tail is lost");
-    assert_eq!(
-        served_answers(&mut c, &probes),
-        twin_answers(&work, next_seq as usize, &probes)
-    );
-    // The sequence-numbered client replays the lost tail exactly once.
-    for seq in next_seq..work.len() as u64 {
-        c.ingest("t0", seq, &work[seq as usize]).expect("replay");
-    }
-    assert_eq!(
-        served_answers(&mut c, &probes),
-        twin_answers(&work, work.len(), &probes),
-        "replay converges to the full twin"
-    );
-    server.stop().expect("stop");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- a failed fsync -----------------------------------------------------------

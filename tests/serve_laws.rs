@@ -8,9 +8,10 @@
 //!
 //! 1. **Answer equivalence** — at every interleaving point, `query` (cached)
 //!    and `query_fresh` (rebuild) return identical answers for identical probes.
-//! 2. **Rebuild economy** — the view rebuilds at most once per interleaving
-//!    round, and never more often than the generation clock advanced (a clean
-//!    round costs zero rebuilds).
+//! 2. **Rebuild economy** — the view rebuilds at most once per round in which
+//!    the generation clock advanced (a clean round costs zero rebuilds), and
+//!    the rebuild count is the same whether a round reads 4 or 256 times:
+//!    reads never cause rebuilds.
 //! 3. **Generation monotonicity** — `Engine::generation()` never decreases:
 //!    not across ingest, not across checkpoint/restore-in-place (`restore_from`
 //!    taints the clock strictly forward so pre-failover cached stamps can never
@@ -26,17 +27,25 @@
 //!    identically however many refreshes follow, so a buffer is never recycled
 //!    while it is still visible.
 //!
-//! A final, non-proptest law pins the threaded ingest path: one big batch
-//! (which crosses the parallel-ingest threshold) is observably identical to the
-//! same items fed in small serial chunks.
+//! Three non-proptest laws close the file: one big batch (which crosses the
+//! parallel-ingest threshold) is observably identical to the same items fed in
+//! small serial chunks; reader threads serving from a `ServeHandle` while the
+//! writer ingests agree with a fresh rebuild at quiescence; and across the
+//! whole registry, a few-state summary's generation clock goes quiet in windows
+//! where a write-heavy baseline's moves in every one.
 
 use few_state_changes::baselines::{
     AmsSketch, CountMin, CountSketch, ExactCounting, MisraGries, SpaceSaving,
 };
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+
+use fsc_bench::experiments::engine::FEW_STATE_IDS;
+use fsc_bench::registry::{engine_specs, registry, MakeCtx};
 
 use few_state_changes::engine::{Engine, EngineAlgorithm, EngineConfig, Routing};
 use few_state_changes::state::{Answer, Query, Queryable, StateTracker, TrackerKind};
+use few_state_changes::streamgen::uniform::uniform_stream;
 use few_state_changes::streamgen::zipf::zipf_stream;
 
 use proptest::prelude::*;
@@ -57,27 +66,32 @@ fn probes() -> Vec<Query> {
         .collect()
 }
 
+/// Cached reads per round of the read-volume twins (law 2).
+const READS_PER_ROUND: [usize; 2] = [4, 256];
+
 /// Drives one engine through `rounds` ingest/query rounds, checking the
 /// answer-equivalence, rebuild-economy, and monotonicity laws at every step.
-fn check_serve_laws<A: EngineAlgorithm>(
-    make: impl FnMut(usize) -> A,
-    stream: &[u64],
-    cuts: &[usize],
-) {
-    let mut engine = Engine::new(config(4), make);
+/// Two twins ingest the same rounds and only read, [`READS_PER_ROUND`] cached
+/// point queries each, so law 2 can compare rebuild counts across read volumes.
+fn check_serve_laws<A: EngineAlgorithm>(make: impl Fn(usize) -> A, stream: &[u64], cuts: &[usize]) {
+    let mut engine = Engine::new(config(4), &make);
+    let mut readers = READS_PER_ROUND.map(|reads| (reads, Engine::new(config(4), &make)));
     let name = engine.shard(0).name().to_string();
     let probes = probes();
 
     let mut fed = 0usize;
     let mut last_generation = engine.generation();
-    let mut rounds = 0u64;
+    let mut dirty_rounds = 0u64;
+    let mut built_at = None;
     for &cut in cuts {
         let cut = cut.min(stream.len());
         if cut > fed {
             engine.ingest(&stream[fed..cut]);
+            for (_, reader) in &mut readers {
+                reader.ingest(&stream[fed..cut]);
+            }
             fed = cut;
         }
-        rounds += 1;
 
         let generation = engine.generation();
         assert!(
@@ -85,6 +99,12 @@ fn check_serve_laws<A: EngineAlgorithm>(
             "{name}: generation went backwards across ingest ({last_generation} -> {generation})"
         );
         last_generation = generation;
+        // A round can rebuild only when no view was built yet or the clock
+        // moved since the last build.
+        if built_at != Some(generation) {
+            dirty_rounds += 1;
+            built_at = Some(generation);
+        }
 
         // Law 1: the cached path answers exactly like a fresh rebuild — on the
         // first (cold) query of a round and on the repeat (warm) query alike.
@@ -97,13 +117,12 @@ fn check_serve_laws<A: EngineAlgorithm>(
         let warm = engine.query_many(&probes).expect("cached view");
         assert_eq!(warm, fresh, "{name}: warm cached answers diverged");
 
-        // Law 2: querying twice in the same round costs at most one rebuild,
-        // and the lifetime rebuild count never exceeds the rounds that could
-        // have dirtied the view.
+        // Law 2: the view rebuilt at most once per generation bump, queries
+        // left the clock alone, and the read volume changed no rebuild count.
         assert!(
-            engine.view_rebuilds() <= rounds,
-            "{name}: {} rebuilds after {rounds} rounds — the view rebuilt without a \
-             generation bump",
+            engine.view_rebuilds() <= dirty_rounds,
+            "{name}: {} rebuilds after {dirty_rounds} generation bumps — the view \
+             rebuilt without a state change",
             engine.view_rebuilds()
         );
         assert_eq!(
@@ -111,6 +130,19 @@ fn check_serve_laws<A: EngineAlgorithm>(
             generation,
             "{name}: queries moved the generation clock"
         );
+        for (reads, reader) in &readers {
+            for i in 0..*reads {
+                reader
+                    .query(&probes[i % probes.len()])
+                    .expect("cached view");
+            }
+            assert_eq!(
+                reader.view_rebuilds(),
+                engine.view_rebuilds(),
+                "{name}: {reads} reads per round rebuilt a different number of times — \
+                 rebuilds must track state changes, not reads"
+            );
+        }
     }
 
     // Drain the remainder so the final cross-check covers the whole stream.
@@ -385,5 +417,140 @@ fn threaded_ingest_matches_serial_chunks() {
         big.checkpoint(),
         chunked.checkpoint(),
         "checkpoint bytes diverged"
+    );
+}
+
+/// Reader threads of [`concurrent_readers_agree_with_a_fresh_rebuild_at_quiescence`].
+const READERS: usize = 2;
+
+/// Every engine-capable registry summary, 4 shards: [`READERS`] threads answer
+/// point queries from a shared `ServeHandle` while the writer ingests in
+/// 2 048-item batches and republishes after each.  The readers serve, the
+/// writer publishes, and at quiescence every handle answer equals a fresh
+/// rebuild.
+#[test]
+fn concurrent_readers_agree_with_a_fresh_rebuild_at_quiescence() {
+    let (n, m) = (1 << 10, 6_000);
+    let ctx = MakeCtx::new(n, m);
+    let stream = zipf_stream(n, m, 1.1, 31);
+    let probes: Vec<Query> = (0..64).map(Query::Point).collect();
+    for spec in engine_specs() {
+        let factory = spec.engine.expect("engine-capable spec");
+        let mut engine = factory(
+            &ctx,
+            EngineConfig {
+                shards: 4,
+                routing: Routing::RoundRobin,
+                ..EngineConfig::default()
+            },
+        );
+        let handle = engine.serve_handle();
+        let stop = AtomicBool::new(false);
+        let served = AtomicU64::new(0);
+        // Readers and the writer start together, so the readers are live
+        // before the first batch lands.
+        let start = Barrier::new(READERS + 1);
+        std::thread::scope(|scope| {
+            for reader in 0..READERS {
+                let handle = Arc::clone(&handle);
+                let (stop, served, start) = (&stop, &served, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut at = reader as u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        if handle.serve(&Query::Point(at % 64)).is_some() {
+                            served.fetch_add(1, Ordering::Relaxed);
+                        }
+                        at += 1;
+                    }
+                    // One read after the stop flag: the writer has published by
+                    // now, so even a reader never scheduled beside the writer
+                    // serves at least once.
+                    if handle.serve(&Query::Point(at % 64)).is_some() {
+                        served.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            start.wait();
+            for chunk in stream.chunks(2_048) {
+                engine.ingest(chunk);
+                engine.refresh_view().expect("writer-side republish");
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        for q in &probes {
+            assert_eq!(
+                handle.serve(q),
+                Some(engine.query_fresh(q).expect("fresh rebuild")),
+                "{}: a handle answer diverged from a fresh rebuild at quiescence",
+                spec.id
+            );
+        }
+        assert!(
+            served.load(Ordering::Relaxed) > 0,
+            "{}: readers answered no query at all",
+            spec.id
+        );
+        assert!(
+            engine.view_rebuilds() > 0,
+            "{}: the writer never published a view",
+            spec.id
+        );
+    }
+}
+
+/// The paper's thesis on the serving path, over the whole registry: each
+/// summary ingests one uniform stream (n = 256, m = 6 000) in 64 windows, and a
+/// window is dirty — a cached view would rebuild — iff the tracker's
+/// state-change generation moved during it.  The write-heaviest baseline must
+/// dirty at least 90% of the windows (else the comparison proves nothing), and
+/// the quietest few-state summary at most half as many as that baseline.
+#[test]
+fn few_state_summaries_go_quiet_while_write_heavy_baselines_dirty_every_window() {
+    const WINDOWS: usize = 64;
+    let (n, m) = (256, 6_000usize);
+    let window = m.div_ceil(WINDOWS);
+    let stream = uniform_stream(n, m, 29);
+    let ctx = MakeCtx::new(n, m);
+    let dirty: Vec<(&str, usize)> = registry()
+        .iter()
+        .map(|spec| {
+            let mut alg = (spec.make)(&ctx);
+            let mut stamp = alg.tracker().state_change_generation();
+            let mut windows = 0;
+            let mut dirty_windows = 0;
+            for chunk in stream.chunks(window) {
+                alg.process_stream(chunk);
+                windows += 1;
+                let generation = alg.tracker().state_change_generation();
+                if generation != stamp {
+                    dirty_windows += 1;
+                    stamp = generation;
+                }
+            }
+            assert_eq!(windows, WINDOWS, "{}", spec.id);
+            (spec.id, dirty_windows)
+        })
+        .collect();
+    let (few_state, baselines): (Vec<_>, Vec<_>) =
+        dirty.iter().partition(|(id, _)| FEW_STATE_IDS.contains(id));
+    let &(quietest, quiet_dirty) = few_state
+        .iter()
+        .min_by_key(|(_, d)| *d)
+        .expect("the registry has few-state summaries");
+    let &(heaviest, heavy_dirty) = baselines
+        .iter()
+        .max_by_key(|(_, d)| *d)
+        .expect("the registry has baselines");
+    assert!(
+        heavy_dirty as f64 >= 0.9 * WINDOWS as f64,
+        "write-heavy baseline {heaviest} dirtied only {heavy_dirty}/{WINDOWS} windows — \
+         the comparison basis is broken"
+    );
+    assert!(
+        quiet_dirty as f64 <= 0.5 * heavy_dirty as f64,
+        "{quietest} rebuilt in {quiet_dirty}/{WINDOWS} windows — more than half of \
+         baseline {heaviest}'s {heavy_dirty} (few-state rebuilds must track state \
+         changes, not ingest)"
     );
 }

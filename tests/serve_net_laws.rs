@@ -10,7 +10,12 @@
 //!   write-ahead journal replays the acked suffix, and the restart answers
 //!   exactly like a twin that saw every acked batch — with duplicate re-sends
 //!   refused, no client-side replay needed.
-//! * **Idempotency** — re-sending an applied batch acks without re-applying.
+//!   A damaged chain tip — a torn checkpoint write or a bit-flipped delta —
+//!   falls back to the newest valid prefix, and the journal or the client's
+//!   replay brings back every batch.
+//! * **Idempotency** — re-sending an applied batch acks without re-applying,
+//!   and connections dropped between apply and ack converge to exactly-once
+//!   under retries, for one client and for a multi-connection load generator.
 //! * **Graceful degradation** — excess ingest is shed with typed `Overloaded`
 //!   while readers keep answering off the cached view, a corrupt tenant
 //!   fails alone (its neighbors recover and serve), and a `CreateTenant` asking
@@ -24,13 +29,13 @@ use std::time::Duration;
 
 use fsc_bench::registry::serve_factory;
 use fsc_engine::EngineConfig;
-use fsc_serve::faults::splitmix64;
+use fsc_serve::faults::{flip_one_byte, splitmix64};
 use fsc_serve::protocol::{
     read_frame, write_frame, JournalRemedy, Request, Response, ServeError, MAX_FRAME,
 };
 use fsc_serve::storage::{TenantMeta, TenantOutcome};
 use fsc_serve::{
-    Client, ClientConfig, FaultPlan, Server, ServerConfig, ServerHandle, MAX_TENANT_SHARDS,
+    Client, ClientConfig, FaultPlan, LoadGen, Server, ServerConfig, ServerHandle, MAX_TENANT_SHARDS,
 };
 use fsc_state::{Answer, Query};
 use proptest::prelude::*;
@@ -58,6 +63,59 @@ fn restart(dir: &PathBuf) -> (ServerHandle, fsc_serve::RecoveryReport) {
 
 fn client(server: &ServerHandle) -> Client {
     Client::new(server.addr(), ClientConfig::default())
+}
+
+/// `n` seeded batches of `per` items over a 512-item universe.
+fn batches(n: usize, per: usize, seed: u64) -> Vec<Vec<u64>> {
+    let mut rng = seed;
+    (0..n)
+        .map(|_| (0..per).map(|_| splitmix64(&mut rng) % 512).collect())
+        .collect()
+}
+
+fn probes() -> Vec<Query> {
+    (0..16).map(Query::Point).chain([Query::Moment]).collect()
+}
+
+/// Probe answers of a registry twin of a 2-shard `count_min` tenant fed
+/// `batches`.
+fn twin_answers(batches: &[Vec<u64>]) -> Vec<Answer> {
+    let factory = serve_factory();
+    let mut engine = factory(
+        "count_min",
+        EngineConfig {
+            shards: 2,
+            ..EngineConfig::default()
+        },
+    )
+    .expect("count_min is engine-capable");
+    for batch in batches {
+        engine.ingest(batch);
+    }
+    probes()
+        .iter()
+        .map(|q| engine.query_fresh(q).expect("twin answers"))
+        .collect()
+}
+
+fn served_answers(c: &mut Client, tenant: &str) -> Vec<Answer> {
+    probes()
+        .iter()
+        .map(|q| c.query(tenant, *q).expect("query"))
+        .collect()
+}
+
+/// `(epoch, next_seq, discarded)` of a recovered tenant.
+fn recovered(report: &fsc_serve::RecoveryReport, tenant: &str) -> Option<(u64, u64, usize)> {
+    report.tenants.iter().find_map(|t| match t.outcome {
+        TenantOutcome::Recovered {
+            epoch,
+            next_seq,
+            discarded,
+            ..
+        } if t.tenant == tenant => Some((epoch, next_seq, discarded)),
+        _ => None,
+    })
 }
 
 // --- seeded frame generators (the proptest shim drives the seeds) -------------
@@ -326,31 +384,8 @@ fn garbage_and_truncated_frames_get_typed_errors_without_killing_the_connection(
 #[test]
 fn a_restart_after_crash_answers_like_the_truncated_twin_and_replay_converges() {
     let dir = tmp_dir("recovery-law");
-    let batches: Vec<Vec<u64>> = {
-        let mut rng = 0xC4A5u64;
-        (0..5)
-            .map(|_| (0..64).map(|_| splitmix64(&mut rng) % 512).collect())
-            .collect()
-    };
-    let probes: Vec<Query> = (0..16).map(Query::Point).chain([Query::Moment]).collect();
-    let twin = |upto: usize| -> Vec<Answer> {
-        let factory = serve_factory();
-        let mut engine = factory(
-            "count_min",
-            EngineConfig {
-                shards: 2,
-                ..EngineConfig::default()
-            },
-        )
-        .expect("count_min is engine-capable");
-        for batch in &batches[..upto] {
-            engine.ingest(batch);
-        }
-        probes
-            .iter()
-            .map(|q| engine.query_fresh(q).expect("twin answers"))
-            .collect()
-    };
+    let batches = batches(5, 64, 0xC4A5);
+    let twin = |upto: usize| twin_answers(&batches[..upto]);
 
     let server = start(&dir, FaultPlan::seeded(1).with_crash_frame(), 64);
     let mut c = client(&server);
@@ -378,12 +413,8 @@ fn a_restart_after_crash_answers_like_the_truncated_twin_and_replay_converges() 
     );
 
     let mut c = client(&server);
-    let served: Vec<Answer> = probes
-        .iter()
-        .map(|q| c.query("t0", *q).expect("query"))
-        .collect();
     assert_eq!(
-        served,
+        served_answers(&mut c, "t0"),
         twin(5),
         "restart must answer as the full 5-batch twin: chain prefix + journal suffix"
     );
@@ -398,12 +429,8 @@ fn a_restart_after_crash_answers_like_the_truncated_twin_and_replay_converges() 
             "acked batch {seq} must not re-apply after recovery"
         );
     }
-    let served: Vec<Answer> = probes
-        .iter()
-        .map(|q| c.query("t0", *q).expect("query"))
-        .collect();
     assert_eq!(
-        served,
+        served_answers(&mut c, "t0"),
         twin(5),
         "duplicate re-sends must not change answers"
     );
@@ -417,6 +444,150 @@ fn a_restart_after_crash_answers_like_the_truncated_twin_and_replay_converges() 
     assert_eq!(t0.next_seq, 5);
     assert_eq!(t0.wal_replayed, 2);
     assert_eq!(t0.wal_truncated_bytes, 0);
+    server.stop().expect("stop");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The chain tip is damaged two ways: the third durable write (the delta
+/// after seq 1) tears mid-write and the server crashes, or the newest delta
+/// file gets one byte flipped after a clean stop.  Either way recovery falls
+/// back to the newest valid chain prefix, discarding the damaged delta and
+/// anything chained onto it.  A torn write stops journal truncation, so the
+/// journal still holds every acked batch and the restart answers like the full
+/// twin; after a clean stop the journal is empty, and the client replays the
+/// tail past the fallback point.  Either way a re-sent survivor is refused
+/// and the tenant ends equal to the full twin.
+#[test]
+fn a_damaged_chain_tip_falls_back_and_every_batch_comes_back() {
+    let work = batches(3, 128, 0xF14_5EED);
+    // (damage, faults, expected (epoch, next_seq, discarded) after restart)
+    for (damage, faults, expected) in [
+        (
+            "torn-checkpoint-write",
+            FaultPlan::seeded(0xA11)
+                .with_torn_write(3)
+                .with_crash_frame(),
+            (1, 3, 2),
+        ),
+        ("corrupt-chain-tip", FaultPlan::none(), (2, 2, 1)),
+    ] {
+        let dir = tmp_dir(damage);
+        let server = start(&dir, faults, 64);
+        let mut c = client(&server);
+        c.create_tenant("t0", "count_min", 2).expect("create");
+        for (seq, batch) in work.iter().enumerate() {
+            assert!(c.ingest("t0", seq as u64, batch).expect("ingest"));
+            c.checkpoint("t0").expect("checkpoint");
+        }
+        if damage == "corrupt-chain-tip" {
+            server.stop().expect("stop");
+            let tip = std::fs::read_dir(dir.join("t0"))
+                .expect("tenant dir")
+                .map(|e| e.expect("entry").path())
+                .filter(|p| {
+                    p.file_name()
+                        .and_then(|n| n.to_str())
+                        .is_some_and(|n| n.starts_with("delta-"))
+                })
+                .max()
+                .expect("a delta on disk");
+            let mut bytes = std::fs::read(&tip).expect("read tip");
+            flip_one_byte(&mut bytes, 0xBAD_71B);
+            std::fs::write(&tip, &bytes).expect("write tip");
+        } else {
+            c.crash();
+            server.join();
+        }
+
+        let (server, report) = restart(&dir);
+        assert_eq!(
+            recovered(&report, "t0"),
+            Some(expected),
+            "{damage}: {report}"
+        );
+        let next_seq = expected.1 as usize;
+        let mut c = client(&server);
+        assert_eq!(
+            served_answers(&mut c, "t0"),
+            twin_answers(&work[..next_seq]),
+            "{damage}: the restart answers as the twin of what it recovered"
+        );
+        assert!(
+            !c.ingest("t0", next_seq as u64 - 1, &work[next_seq - 1])
+                .expect("duplicate resend"),
+            "{damage}: a recovered batch must not re-apply"
+        );
+        for (seq, batch) in work.iter().enumerate().skip(next_seq) {
+            assert!(c.ingest("t0", seq as u64, batch).expect("replay"));
+        }
+        assert_eq!(
+            served_answers(&mut c, "t0"),
+            twin_answers(&work),
+            "{damage}: replay converges to the full twin"
+        );
+        server.stop().expect("stop");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every connection dies after three answered frames — after the request took
+/// effect, before its response — so retries meet batches that already landed.
+/// One sequence-numbered client and a two-connection load generator must both
+/// converge to exactly-once: cursors at the batches sent, every batch acked
+/// once as applied or as a duplicate, and answers equal to the twin.
+#[test]
+fn dropped_connections_converge_to_exactly_once() {
+    let dir = tmp_dir("dropped");
+    let server = start(
+        &dir,
+        FaultPlan::seeded(0xD0D0).with_drop_after_frames(3),
+        64,
+    );
+    let work = batches(6, 128, 0xD0D0);
+    let mut c = client(&server);
+    c.create_tenant("t0", "count_min", 2).expect("create");
+    for (seq, batch) in work.iter().enumerate() {
+        c.ingest("t0", seq as u64, batch)
+            .unwrap_or_else(|e| panic!("seq {seq}: {e}"));
+    }
+    assert!(
+        c.counters.reconnects > 1 && c.counters.duplicate_acks >= 1,
+        "the drops fired: {:?}",
+        c.counters
+    );
+    assert_eq!(c.stats("t0").expect("stats").next_seq, work.len() as u64);
+    assert_eq!(served_answers(&mut c, "t0"), twin_answers(&work));
+
+    let (connections, per_connection) = (2, 10);
+    let load = LoadGen {
+        connections,
+        batches: per_connection,
+        batch_size: 64,
+        algorithm: "count_min".into(),
+        shards: 2,
+        universe: 1 << 10,
+        seed: 0xF14,
+        client: ClientConfig::default(),
+    }
+    .run(server.addr());
+    assert!(load.errors.is_empty(), "{:?}", load.errors);
+    assert_eq!(load.completed_connections, connections);
+    assert_eq!(
+        load.applied_batches + load.duplicate_batches,
+        (connections * per_connection) as u64,
+        "every batch acked exactly once"
+    );
+    assert!(
+        load.counters.reconnects > connections as u64,
+        "the drops fired"
+    );
+    for i in 0..connections {
+        assert_eq!(
+            c.stats(&format!("lg-{i}")).expect("stats").next_seq,
+            per_connection as u64
+        );
+    }
+    assert!(!server.stopped());
     server.stop().expect("stop");
     let _ = std::fs::remove_dir_all(&dir);
 }
