@@ -728,6 +728,44 @@ mod tests {
     }
 
     #[test]
+    fn an_item_equal_to_the_empty_slot_sentinel_keeps_its_accounting() {
+        // `u64::MAX` is the empty-slot sentinel.  Sampled into a free slot it uses
+        // the slot up as a redundant write and leaves it empty; once the free slots
+        // are gone it can evict a sampled item.  The report was recorded from the
+        // eagerly filled reservoir this type used to build.
+        let (n, m) = (1 << 8, 1 << 15);
+        let p = params(n, m, 0.9)
+            .with_seed(6)
+            .with_tracker(fsc_state::TrackerKind::FullAddressTracked);
+        let mut alg = SampleAndHold::standalone(&p);
+        let stream: Vec<u64> = zipf_stream(n, m, 1.1, 6)
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| if i % 3 == 0 { EMPTY_SLOT } else { x })
+            .collect();
+        for chunk in stream.chunks(500) {
+            alg.process_batch(chunk);
+        }
+        assert_eq!(
+            alg.report(),
+            fsc_state::StateReport {
+                state_changes: 2_107,
+                word_writes: 2_411,
+                redundant_writes: 90,
+                reads: 65_609,
+                epochs: 32_768,
+                words_current: 377,
+                words_peak: 377,
+                max_cell_writes: Some(114),
+                tracked_cells: Some(377),
+                total_addr_writes: Some(2_338),
+            }
+        );
+        let bytes = alg.checkpoint();
+        assert_eq!(SampleAndHold::restore(&bytes).unwrap().checkpoint(), bytes);
+    }
+
+    #[test]
     fn standalone_uses_its_own_tracker_and_parameters() {
         let p = params(1 << 10, 1 << 12, 0.2);
         let alg = SampleAndHold::standalone(&p);

@@ -9,6 +9,8 @@
 //! checkpoint length, an FNV-1a digest of the checkpoint bytes, and the full
 //! [`StateReport`] under the address-tracked backend.  One input keeps every held
 //! counter; the other overflows the counter budget, so maintenance drops counters.
+//! `FewStateHeavyHitters` and `FpEstimator` are also pinned freshly built and after
+//! one chunk, while their reservoirs are unwritten or partly written.
 //! `CountMin`, the baseline kernel under every serve tenant, is pinned on the
 //! first input under both tracker kinds.
 //!
@@ -81,9 +83,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Feeds `input`'s stream in chunks, checkpoints, and compares against `golden`;
 /// then restores the checkpoint and requires the restored instance to re-checkpoint
 /// to the same bytes.
-fn check<A: StreamAlgorithm + Snapshot>(label: &str, mut alg: A, input: &Input, golden: &Golden) {
+fn check<A: StreamAlgorithm + Snapshot>(label: &str, alg: A, input: &Input, golden: &Golden) {
+    check_prefix(label, alg, input, LEN, golden);
+}
+
+/// [`check`] after only the first `items` updates of the stream.
+fn check_prefix<A: StreamAlgorithm + Snapshot>(
+    label: &str,
+    mut alg: A,
+    input: &Input,
+    items: usize,
+    golden: &Golden,
+) {
     let stream = zipf_stream(input.universe, LEN, input.skew, 13);
-    for chunk in stream.chunks(CHUNK) {
+    for chunk in stream[..items].chunks(CHUNK) {
         alg.process_batch(chunk);
     }
     let bytes = alg.checkpoint();
@@ -278,6 +291,100 @@ fn fp_estimator_checkpoint_under_maintenance_is_golden() {
             },
         },
     );
+}
+
+/// Freshly built and after one chunk, the ensembles' reservoirs are unwritten or
+/// partly written and their free-slot stacks are full or part-used: the state
+/// every restore and every short-lived summary checkpoints.
+#[test]
+fn ensembles_checkpoint_fresh_and_after_one_chunk_are_golden() {
+    for (items, fshh, fp) in [
+        (
+            0,
+            Golden {
+                len: 3_896_849,
+                fnv: 0x188e_ddc1_3b96_07bd,
+                report: StateReport {
+                    state_changes: 0,
+                    word_writes: 162_225,
+                    redundant_writes: 0,
+                    reads: 0,
+                    epochs: 0,
+                    words_current: 162_225,
+                    words_peak: 162_225,
+                    max_cell_writes: Some(1),
+                    tracked_cells: Some(162_225),
+                    total_addr_writes: Some(162_225),
+                },
+            },
+            Golden {
+                len: 3_896_806,
+                fnv: 0x257b_2eb9_1b0f_4c2b,
+                report: StateReport {
+                    state_changes: 0,
+                    word_writes: 162_225,
+                    redundant_writes: 0,
+                    reads: 0,
+                    epochs: 0,
+                    words_current: 162_225,
+                    words_peak: 162_225,
+                    max_cell_writes: Some(1),
+                    tracked_cells: Some(162_225),
+                    total_addr_writes: Some(162_225),
+                },
+            },
+        ),
+        (
+            CHUNK,
+            Golden {
+                len: 3_922_235,
+                fnv: 0x1dd9_31ac_6e83_f083,
+                report: StateReport {
+                    state_changes: 757,
+                    word_writes: 166_539,
+                    redundant_writes: 0,
+                    reads: 9_704,
+                    epochs: 777,
+                    words_current: 163_311,
+                    words_peak: 163_311,
+                    max_cell_writes: Some(109),
+                    tracked_cells: Some(163_311),
+                    total_addr_writes: Some(166_177),
+                },
+            },
+            Golden {
+                len: 3_927_616,
+                fnv: 0x899a_21b8_287b_31fc,
+                report: StateReport {
+                    state_changes: 777,
+                    word_writes: 167_944,
+                    redundant_writes: 0,
+                    reads: 12_595,
+                    epochs: 777,
+                    words_current: 163_545,
+                    words_peak: 163_545,
+                    max_cell_writes: Some(119),
+                    tracked_cells: Some(163_545),
+                    total_addr_writes: Some(167_504),
+                },
+            },
+        ),
+    ] {
+        check_prefix(
+            &format!("FewStateHeavyHitters ({items} items)"),
+            FewStateHeavyHitters::new(STEADY.params(2.0)),
+            &STEADY,
+            items,
+            &fshh,
+        );
+        check_prefix(
+            &format!("FpEstimator ({items} items)"),
+            FpEstimator::new(STEADY.params(3.0)),
+            &STEADY,
+            items,
+            &fp,
+        );
+    }
 }
 
 /// CountMin, the write-every-update baseline under every serve tenant: its
