@@ -419,7 +419,8 @@ pub fn engine_specs() -> Vec<AlgorithmSpec> {
 /// tenant algorithm ids against the same constructor table every experiment
 /// uses, so a served tenant and a local oracle built from the same id are
 /// *twins* — identical geometry and seeds, byte-identical checkpoints — which is
-/// what lets the fault-matrix drills assert exact recovery.
+/// what lets `tests/serve_net_laws.rs` and `tests/recovery_laws.rs` assert exact
+/// recovery.
 ///
 /// Ids without an engine factory (non-mergeable summaries) resolve to `None`,
 /// which the server answers as a typed `UnknownAlgorithm`.

@@ -27,8 +27,8 @@ use fsc_counters::fastmap::{fast_map, FastMap};
 use fsc_counters::morris::{self, AcceptanceTable};
 use fsc_state::snapshot::TrackerState;
 use fsc_state::{
-    impl_queryable, FrequencyEstimator, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
-    StateTracker, StreamAlgorithm, TrackedVec,
+    impl_queryable, AddrRange, FrequencyEstimator, Snapshot, SnapshotError, SnapshotReader,
+    SnapshotWriter, StateTracker, StreamAlgorithm,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,7 +95,13 @@ pub struct SampleAndHold {
     params: Params,
     tracker: StateTracker,
     rng: StdRng,
-    reservoir: TrackedVec<u64>,
+    /// The reservoir `Q`: κ tracked words at `reservoir_addr`, charged (allocation
+    /// and one initialisation write each) at construction.  Only the prefix up to
+    /// the last slot a changed write reached is held in memory; every slot past it
+    /// is [`EMPTY_SLOT`], so building a copy writes none of its κ slots.
+    reservoir: Vec<u64>,
+    /// Tracked addresses of the reservoir words; `len` is κ.
+    reservoir_addr: AddrRange,
     /// Untracked merged view of the summary keyed by item: reservoir membership
     /// counts and held Morris counters in one probe (see [`ItemSlot`]).  Invariant:
     /// an entry exists iff it is held or occupies ≥ 1 reservoir slot.
@@ -107,10 +113,12 @@ pub struct SampleAndHold {
     /// aid, like `items`): an accepted increment reads its next probability here
     /// instead of evaluating `powi`.
     accept: AcceptanceTable,
-    /// Slots that have never been written; preferred over random eviction so that a
-    /// lightly-loaded reservoir retains every sampled item (practical deviation noted
-    /// in the module docs — the paper always evicts a uniformly random slot).
-    free_slots: Vec<usize>,
+    /// Slots `next_free..κ` have never been written and are filled in order before
+    /// any random eviction, so that a lightly-loaded reservoir retains every sampled
+    /// item (practical deviation noted in the module docs — the paper always evicts
+    /// a uniformly random slot).  Checkpoints carry them as the free-slot stack
+    /// `κ-1, …, next_free`.
+    next_free: usize,
     counter_budget: usize,
     sample_prob: f64,
     name: String,
@@ -184,17 +192,21 @@ impl SampleAndHold {
         let kappa = params.kappa(substream_len_hint);
         let counter_budget = params.counter_budget(substream_len_hint, rng.gen());
         let sample_prob = params.sample_prob(substream_len_hint);
-        let reservoir = TrackedVec::filled(tracker, kappa, EMPTY_SLOT);
+        let reservoir_addr = tracker.alloc(kappa);
+        // Emptying the κ slots is charged as one initialisation-write run; no slot
+        // is stored until a changed write reaches it.
+        tracker.record_changed_run(Some(reservoir_addr.start), kappa as u64);
         Self {
             name: format!("SampleAndHold(p={}, eps={})", params.p, params.eps),
             params: params.clone(),
             tracker: tracker.clone(),
             rng,
-            reservoir,
+            reservoir: Vec::new(),
+            reservoir_addr,
             items: fast_map(),
             held_len: 0,
             accept: AcceptanceTable::new(params.morris_growth()),
-            free_slots: (0..kappa).rev().collect(),
+            next_free: 0,
             counter_budget,
             sample_prob,
         }
@@ -216,7 +228,7 @@ impl SampleAndHold {
 
     /// Number of reservoir slots `κ`.
     pub fn reservoir_slots(&self) -> usize {
-        self.reservoir.len()
+        self.reservoir_addr.len
     }
 
     /// Counter budget `k` that triggers maintenance.
@@ -350,23 +362,39 @@ impl SampleAndHold {
         }
     }
 
+    /// Reservoir slot `slot`: [`EMPTY_SLOT`] past the written prefix.
+    fn reservoir_word(&self, slot: usize) -> u64 {
+        self.reservoir.get(slot).copied().unwrap_or(EMPTY_SLOT)
+    }
+
     fn sample_into_reservoir(&mut self, item: u64) {
-        let slot = match self.free_slots.pop() {
-            Some(slot) => slot,
-            None => self.rng.gen_range(0..self.reservoir.len()),
+        let kappa = self.reservoir_addr.len;
+        let slot = if self.next_free < kappa {
+            self.next_free += 1;
+            self.next_free - 1
+        } else {
+            self.rng.gen_range(0..kappa)
         };
-        let old = *self.reservoir.peek(slot);
-        if self.reservoir.set(slot, item) {
-            if old != EMPTY_SLOT {
-                if let Some(entry) = self.items.get_mut(&old) {
-                    entry.reservoir_slots -= 1;
-                    if entry.reservoir_slots == 0 && entry.held.is_none() {
-                        self.items.remove(&old);
-                    }
+        let old = self.reservoir_word(slot);
+        let changed = old != item;
+        self.tracker
+            .record_write(Some(self.reservoir_addr.word(slot)), changed);
+        if !changed {
+            return;
+        }
+        if slot >= self.reservoir.len() {
+            self.reservoir.resize(slot + 1, EMPTY_SLOT);
+        }
+        self.reservoir[slot] = item;
+        if old != EMPTY_SLOT {
+            if let Some(entry) = self.items.get_mut(&old) {
+                entry.reservoir_slots -= 1;
+                if entry.reservoir_slots == 0 && entry.held.is_none() {
+                    self.items.remove(&old);
                 }
             }
-            self.items.entry(item).or_default().reservoir_slots += 1;
         }
+        self.items.entry(item).or_default().reservoir_slots += 1;
     }
 
     /// Serializes the dynamic (post-construction) state: the live rng, the derived
@@ -386,13 +414,14 @@ impl SampleAndHold {
         }
         w.f64(self.sample_prob);
         w.usize(self.counter_budget);
-        w.usize(self.free_slots.len());
-        for &slot in &self.free_slots {
+        let kappa = self.reservoir_addr.len;
+        w.usize(kappa - self.next_free);
+        for slot in (self.next_free..kappa).rev() {
             w.usize(slot);
         }
-        w.usize(self.reservoir.len());
-        for &slot in self.reservoir.iter_untracked() {
-            w.u64(slot);
+        w.usize(kappa);
+        for slot in 0..kappa {
+            w.u64(self.reservoir_word(slot));
         }
         let mut entries: Vec<(&u64, &ItemSlot)> = self.items.iter().collect();
         entries.sort_unstable_by_key(|(&k, _)| k);
@@ -427,24 +456,31 @@ impl SampleAndHold {
         }
         self.sample_prob = sample_prob;
         self.counter_budget = r.usize()?;
-        let kappa = self.reservoir.len();
+        let kappa = self.reservoir_addr.len;
         let free = r.len_prefix(8)?;
         if free > kappa {
             return Err(SnapshotError::Corrupt("free-slot stack exceeds reservoir"));
         }
-        self.free_slots.clear();
-        for _ in 0..free {
-            let slot = r.usize()?;
-            if slot >= kappa {
-                return Err(SnapshotError::Corrupt("free slot out of range"));
+        // Slots are only ever taken from the top of the stack, so every writer
+        // leaves it holding exactly the unwritten suffix.
+        self.next_free = kappa - free;
+        for expected in (self.next_free..kappa).rev() {
+            if r.usize()? != expected {
+                return Err(SnapshotError::Corrupt(
+                    "free-slot stack is not the unwritten suffix",
+                ));
             }
-            self.free_slots.push(slot);
         }
         if r.len_prefix(8)? != kappa {
             return Err(SnapshotError::Corrupt("reservoir size mismatch"));
         }
-        for slot in self.reservoir.as_mut_slice_untracked() {
-            *slot = r.u64()?;
+        self.reservoir.clear();
+        for slot in 0..kappa {
+            let word = r.u64()?;
+            if word != EMPTY_SLOT {
+                self.reservoir.resize(slot, EMPTY_SLOT);
+                self.reservoir.push(word);
+            }
         }
         // Dropping the current counters releases their register words.
         self.tracker.dealloc(self.held_len);
@@ -529,9 +565,10 @@ impl StreamAlgorithm for SampleAndHold {
 }
 
 impl Drop for SampleAndHold {
-    /// Releases the held counters' register words, as dropping each counter did.
+    /// Releases the reservoir's κ words and the held counters' register words.
     fn drop(&mut self) {
-        self.tracker.dealloc(self.held_len);
+        self.tracker
+            .dealloc(self.reservoir_addr.len + self.held_len);
     }
 }
 
@@ -725,6 +762,76 @@ mod tests {
         let before = tracker.words_current();
         drop(alg);
         assert_eq!(tracker.words_current(), before - released);
+    }
+
+    fn tracked_params() -> Params {
+        params(1 << 8, 1 << 13, 0.9)
+            .with_seed(12)
+            .with_tracker(fsc_state::TrackerKind::FullAddressTracked)
+    }
+
+    #[test]
+    fn a_fresh_instance_materialises_no_reservoir_words() {
+        let alg = SampleAndHold::standalone(&tracked_params());
+        assert_eq!(alg.reservoir.capacity(), 0);
+        // ... yet all κ words are charged: allocated and written once each.
+        let r = alg.report();
+        assert_eq!(r.words_current, alg.reservoir_slots());
+        assert_eq!(r.word_writes, alg.reservoir_slots() as u64);
+        assert_eq!(r.tracked_cells, Some(alg.reservoir_slots()));
+    }
+
+    #[test]
+    fn a_free_slot_stack_out_of_order_fails_restore_as_corrupt() {
+        let mut alg = SampleAndHold::standalone(&tracked_params());
+        alg.process_batch(&zipf_stream(1 << 8, 200, 1.1, 12));
+        let kappa = alg.reservoir_slots();
+        assert!(alg.next_free > 0 && alg.next_free + 2 < kappa);
+        let mut bytes = alg.checkpoint();
+        // The stack as written: its length, then κ-1, κ-2, … down to `next_free`.
+        let stack: Vec<u8> = [kappa - alg.next_free, kappa - 1, kappa - 2]
+            .iter()
+            .flat_map(|&w| (w as u64).to_le_bytes())
+            .collect();
+        let at = bytes
+            .windows(stack.len())
+            .position(|w| w == stack.as_slice())
+            .expect("free-slot stack in the checkpoint")
+            + 8;
+        let (top, next) = bytes[at..at + 16].split_at_mut(8);
+        top.swap_with_slice(next);
+        assert!(matches!(
+            SampleAndHold::restore(&bytes),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn restore_round_trips_at_every_chunk_boundary() {
+        // Each boundary's checkpoint is restored and the stream continues on the
+        // restored copy, from an unwritten reservoir through a partly written one
+        // to random eviction (the stream is 4× the one the summary is sized for);
+        // an uninterrupted twin must checkpoint the same bytes.
+        let p = tracked_params();
+        let mut twin = SampleAndHold::standalone(&p);
+        let mut alg = SampleAndHold::standalone(&p);
+        let kappa = alg.reservoir_slots();
+        let mut partly_written = false;
+        for chunk in zipf_stream(1 << 8, 1 << 15, 0.8, 12).chunks(1000) {
+            let bytes = alg.checkpoint();
+            assert_eq!(bytes, twin.checkpoint());
+            let restored = SampleAndHold::restore(&bytes).expect("restore");
+            assert_eq!(restored.checkpoint(), bytes);
+            assert_eq!(restored.report(), alg.report());
+            partly_written |= alg.next_free > 0 && alg.next_free < kappa;
+            alg = restored;
+            alg.process_batch(chunk);
+            twin.process_batch(chunk);
+        }
+        assert!(partly_written);
+        assert_eq!(alg.next_free, kappa, "the stream reaches random eviction");
+        assert_eq!(alg.checkpoint(), twin.checkpoint());
+        assert_eq!(alg.report(), twin.report());
     }
 
     #[test]
