@@ -11,6 +11,7 @@
 //! counter; the other overflows the counter budget, so maintenance drops counters.
 //! `FewStateHeavyHitters` and `FpEstimator` are also pinned freshly built and after
 //! one chunk, while their reservoirs are unwritten or partly written.
+//! Both are pinned once more as the kernel benchmark builds and feeds them.
 //! `CountMin`, the baseline kernel under every serve tenant, is pinned on the
 //! first input under both tracker kinds.
 //!
@@ -24,6 +25,7 @@ use few_state_changes::algorithms::{
 use few_state_changes::baselines::CountMin;
 use few_state_changes::state::{Snapshot, StateReport, StateTracker, StreamAlgorithm, TrackerKind};
 use few_state_changes::streamgen::zipf::zipf_stream;
+use fsc_bench::registry::{spec, MakeCtx};
 
 /// Length of every golden stream.
 const LEN: usize = 1 << 14;
@@ -441,4 +443,71 @@ fn count_min_checkpoint_is_golden() {
             &golden,
         );
     }
+}
+
+/// The ensembles exactly as the kernel benchmark builds and feeds them: from the
+/// registry at its sizes (`MakeCtx::new(1 << 14, 4 Mi)`, plain exact tracker),
+/// fed the first 16 of its 1024-item batches of `zipf_stream(1 << 14, …, 1.1, 1)`.
+/// Every batch is a whole kernel block, so the block-level paths of the batch
+/// kernel are pinned at the sizes whose speed is measured.
+#[test]
+fn ensembles_at_the_benchmark_size_are_golden() {
+    fn check_registry<A: Snapshot>(id: &str, golden: &Golden) {
+        let ctx = MakeCtx::new(1 << 14, 4 << 20);
+        let mut alg = (spec(id).expect("registered algorithm").snapshot)(&ctx);
+        for batch in zipf_stream(1 << 14, 16 << 10, 1.1, 1).chunks(1 << 10) {
+            alg.process_batch(batch);
+        }
+        let bytes = alg.checkpoint();
+        let report = alg.report();
+        let actual = format!(
+            "len: {}, fnv: {:#018x}, report: {:?}",
+            bytes.len(),
+            fnv1a(&bytes),
+            report
+        );
+        assert_eq!(bytes.len(), golden.len, "{id} length drifted: {actual}");
+        assert_eq!(fnv1a(&bytes), golden.fnv, "{id} bytes drifted: {actual}");
+        assert_eq!(report, golden.report, "{id} report drifted: {actual}");
+        let restored = A::restore(&bytes).unwrap_or_else(|e| panic!("{id}: restore failed: {e}"));
+        assert_eq!(restored.checkpoint(), bytes, "{id}: re-checkpoint differs");
+    }
+    check_registry::<FewStateHeavyHitters>(
+        "few_state_heavy_hitters",
+        &Golden {
+            len: 3_548_307,
+            fnv: 0xef85_c75f_f50e_795a,
+            report: StateReport {
+                state_changes: 7_258,
+                word_writes: 237_926,
+                redundant_writes: 0,
+                reads: 196_230,
+                epochs: 16_384,
+                words_current: 221_751,
+                words_peak: 221_751,
+                max_cell_writes: None,
+                tracked_cells: None,
+                total_addr_writes: None,
+            },
+        },
+    );
+    check_registry::<FpEstimator>(
+        "fp_estimator",
+        &Golden {
+            len: 2_465_571,
+            fnv: 0xad0a_3be8_7686_d81a,
+            report: StateReport {
+                state_changes: 6_975,
+                word_writes: 166_538,
+                redundant_writes: 0,
+                reads: 232_578,
+                epochs: 16_384,
+                words_current: 154_089,
+                words_peak: 154_089,
+                max_cell_writes: None,
+                tracked_cells: None,
+                total_addr_writes: None,
+            },
+        },
+    );
 }
