@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::params::Params;
-use crate::sample_and_hold::{process_batch_leveled, SampleAndHold, BATCH_BLOCK};
+use crate::sample_and_hold::{process_batch_leveled, Ledger, SampleAndHold, BATCH_BLOCK};
 
 /// Stable checkpoint-header id of [`FpEstimator`].
 const SNAPSHOT_ID: &str = "fp_estimator";
@@ -60,6 +60,8 @@ pub struct FpEstimator {
     /// Reusable per-block level buffer for the batch kernel, allocated once here at
     /// construction instead of per `process_batch` call.
     level_scratch: Vec<u16>,
+    /// The batch kernel's per-block accounting, reused across calls.
+    ledger: Ledger,
     name: String,
 }
 
@@ -98,6 +100,7 @@ impl FpEstimator {
             level_cutoffs: GeometricLevels::new(levels - 1),
             lambda,
             level_scratch: Vec::with_capacity(BATCH_BLOCK * reps),
+            ledger: Ledger::default(),
         }
     }
 
@@ -321,10 +324,10 @@ impl StreamAlgorithm for FpEstimator {
     /// Blocked batch kernel (the shared `process_batch_leveled` harness): per
     /// block, the universe-subsampling levels of every `(item, repetition)` pair are
     /// precomputed in one tight pass — the item folded once and reused across the
-    /// repetitions' hashes, with the per-repetition read charge accumulated — then
-    /// the updates dispatch into the per-level `SampleAndHold` copies.  The
-    /// subsampling decision is a pure function of the item, so precomputing it
-    /// reorders nothing (pinned by the batch-law tests).
+    /// repetitions' hashes, with the per-repetition read charge going to the block
+    /// ledger — then each `SampleAndHold` copy runs over its substream of the
+    /// block.  The subsampling decision is a pure function of the item, so
+    /// precomputing it reorders nothing (pinned by the batch-law tests).
     fn process_batch(&mut self, items: &[u64]) {
         let Self {
             instances,
@@ -332,6 +335,7 @@ impl StreamAlgorithm for FpEstimator {
             level_cutoffs,
             tracker,
             level_scratch,
+            ledger,
             ..
         } = self;
         process_batch_leveled(
@@ -339,6 +343,7 @@ impl StreamAlgorithm for FpEstimator {
             instances,
             items,
             level_scratch,
+            ledger,
             |block, deepest, reads| {
                 for &item in block {
                     let folded = item % MERSENNE_61;

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::params::Params;
-use crate::sample_and_hold::{process_batch_leveled, SampleAndHold, BATCH_BLOCK};
+use crate::sample_and_hold::{process_batch_leveled, Ledger, SampleAndHold, BATCH_BLOCK};
 
 /// Stable checkpoint-header id of [`FullSampleAndHold`].
 const SNAPSHOT_ID: &str = "full_sample_and_hold";
@@ -48,6 +48,8 @@ pub struct FullSampleAndHold {
     /// Reusable per-block level buffer for the batch kernel, allocated once here at
     /// construction instead of per `process_batch` call.
     level_scratch: Vec<u16>,
+    /// The batch kernel's per-block accounting, reused across calls.
+    ledger: Ledger,
     name: String,
 }
 
@@ -78,6 +80,7 @@ impl FullSampleAndHold {
             levels,
             level_cutoffs: UnitLevels::new(levels - 1),
             level_scratch: Vec::with_capacity(BATCH_BLOCK * reps),
+            ledger: Ledger::default(),
         }
     }
 
@@ -166,8 +169,8 @@ impl StreamAlgorithm for FullSampleAndHold {
     /// Blocked batch kernel (the shared `process_batch_leveled` harness): per
     /// block, all level draws are made up front — same rng, same
     /// `(item, repetition)` order as the per-item path, so the random sequence is
-    /// untouched — then the updates dispatch into the per-level `SampleAndHold`
-    /// copies with read charges accumulated and flushed once per batch.
+    /// untouched — then each `SampleAndHold` copy runs over its substream of the
+    /// block, charging the block ledger that is settled once per block.
     fn process_batch(&mut self, items: &[u64]) {
         let Self {
             instances,
@@ -175,6 +178,7 @@ impl StreamAlgorithm for FullSampleAndHold {
             level_cutoffs,
             tracker,
             level_scratch,
+            ledger,
             ..
         } = self;
         let reps = instances.len();
@@ -183,6 +187,7 @@ impl StreamAlgorithm for FullSampleAndHold {
             instances,
             items,
             level_scratch,
+            ledger,
             |block, deepest, _reads| {
                 for _ in block {
                     for _ in 0..reps {

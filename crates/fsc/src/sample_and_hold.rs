@@ -132,50 +132,270 @@ const EMPTY_SLOT: u64 = u64::MAX;
 /// cache-resident.
 pub(crate) const BATCH_BLOCK: usize = 1024;
 
+/// Where one copy's update charges its accounting: straight to the copy's tracker
+/// ([`Direct`]), or to a block's [`Ledger`] that the batch kernel settles later.
+/// The update body ([`SampleAndHold::process_item_inner`] and the methods it
+/// calls) is written once against this trait; `tracker` is always the copy's own
+/// handle.
+pub(crate) trait Sink {
+    /// The epoch of the update in progress: the maintenance clock and a new held
+    /// counter's creation time.
+    fn now(&self, tracker: &StateTracker) -> u64;
+    fn reads(&mut self, n: u64);
+    fn write(&mut self, tracker: &StateTracker, addr: Option<usize>, changed: bool);
+    /// Allocates a held counter's register and metadata words for `item`; returns
+    /// the register's address.
+    fn hold(&mut self, tracker: &StateTracker, item: u64) -> usize;
+    /// Releases a held counter's register and metadata words.
+    fn release(&mut self, tracker: &StateTracker);
+}
+
+/// Charges the tracker at each event, except reads, which are summed and flushed
+/// by the caller (`reads` is a single aggregate counter).
+#[derive(Default)]
+pub(crate) struct Direct {
+    pub(crate) reads: u64,
+}
+
+impl Sink for Direct {
+    #[inline]
+    fn now(&self, tracker: &StateTracker) -> u64 {
+        tracker.epochs()
+    }
+
+    #[inline]
+    fn reads(&mut self, n: u64) {
+        self.reads += n;
+    }
+
+    #[inline]
+    fn write(&mut self, tracker: &StateTracker, addr: Option<usize>, changed: bool) {
+        tracker.record_write(addr, changed);
+    }
+
+    fn hold(&mut self, tracker: &StateTracker, _item: u64) -> usize {
+        let addr = tracker.alloc(1).start;
+        tracker.alloc(HELD_METADATA_WORDS);
+        addr
+    }
+
+    fn release(&mut self, tracker: &StateTracker) {
+        tracker.dealloc(1);
+        tracker.dealloc(HELD_METADATA_WORDS);
+    }
+}
+
+/// Marks a held counter's register address as provisional: allocated inside a
+/// block that the [`Ledger`] has not settled yet.  The low bits number the
+/// block's holds in the order the copies made them.
+const PROVISIONAL: usize = 1 << (usize::BITS - 1);
+
+/// A held counter allocated (`Some`) or released (`None`) by copy `copy` while
+/// updating the block's item `at`.
+#[derive(Debug, Clone, Copy)]
+struct SpaceEvent {
+    at: usize,
+    copy: (usize, usize),
+    /// The held item and the hold's provisional number.
+    hold: Option<(u64, usize)>,
+}
+
+/// One block's accounting, collected while the batch kernel runs the ensemble copy
+/// by copy and settled into the tracker once per block by [`Ledger::settle`], in
+/// the order the per-item path would have charged it.
+///
+/// Everything but space is an order-free total per item: changed writes mark the
+/// item in `changed` (its epoch is a state change) and are counted, with their
+/// addresses kept for the wear table when the tracker keeps one.  Space is
+/// ordered: address assignment and peak space depend on the interleaving of holds
+/// and releases across copies, so those are logged as events tagged with their
+/// item and copy, and a new held counter gets a provisional address
+/// ([`PROVISIONAL`]) until the replay allocates its real one.
+///
+/// Owned by the ensemble and reused across batches, like its level scratch.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    /// Epoch of the block's first item.
+    first: u64,
+    /// Block index of the item the running copy is updating.
+    at: usize,
+    /// `(repetition, level)` of the running copy.
+    copy: (usize, usize),
+    /// Bit `i` is set iff item `i` made a changed write.
+    changed: [u64; BATCH_BLOCK / 64],
+    writes: u64,
+    redundant: u64,
+    /// Read charges, the ensemble's level pass included.
+    pub(crate) reads: u64,
+    /// Whether the tracker keeps a wear table, so `wear` is collected.
+    track_wear: bool,
+    /// Addresses of the addressed changed writes, provisional ones included.
+    wear: Vec<usize>,
+    /// Holds and releases in the order the copies made them.
+    events: Vec<SpaceEvent>,
+    /// Real register address of each provisional one, by its number; one entry
+    /// per hold, filled in when the block is settled.
+    addrs: Vec<usize>,
+}
+
+impl Ledger {
+    /// Empties the ledger for a block whose first item has epoch `first`.
+    fn open(&mut self, first: u64, track_wear: bool) {
+        self.first = first;
+        self.changed = [0; BATCH_BLOCK / 64];
+        self.writes = 0;
+        self.redundant = 0;
+        self.reads = 0;
+        self.track_wear = track_wear;
+        self.wear.clear();
+        self.events.clear();
+        self.addrs.clear();
+    }
+
+    /// Settles the block's `n` items into `tracker`: replays the holds and
+    /// releases in `(item, repetition, level)` order — the per-item path's — so
+    /// every register gets the address the per-item path gives it, patches those
+    /// addresses into the held counters that still carry their provisional ones,
+    /// and enters the block's epochs with their writes, reads and wear.
+    fn settle(&mut self, tracker: &StateTracker, instances: &mut [Vec<SampleAndHold>], n: usize) {
+        // Stable: events of one item keep the copies' (repetition, level) order,
+        // and one copy's hold stays ahead of the releases its maintenance made.
+        self.events.sort_by_key(|e| e.at);
+        for e in &self.events {
+            match e.hold {
+                Some((item, number)) => {
+                    let addr = Direct::default().hold(tracker, item);
+                    self.addrs[number] = addr;
+                    let (r, l) = e.copy;
+                    instances[r][l].settle_address(item, PROVISIONAL | number, addr);
+                }
+                None => Direct::default().release(tracker),
+            }
+        }
+        for a in &mut self.wear {
+            if *a & PROVISIONAL != 0 {
+                *a = self.addrs[*a & !PROVISIONAL];
+            }
+        }
+        tracker.record_block(
+            self.first,
+            n as u64,
+            &self.changed,
+            self.writes,
+            self.redundant,
+            &self.wear,
+        );
+        tracker.record_reads(self.reads);
+    }
+}
+
+impl Sink for Ledger {
+    #[inline]
+    fn now(&self, _tracker: &StateTracker) -> u64 {
+        self.first + self.at as u64
+    }
+
+    #[inline]
+    fn reads(&mut self, n: u64) {
+        self.reads += n;
+    }
+
+    #[inline]
+    fn write(&mut self, _tracker: &StateTracker, addr: Option<usize>, changed: bool) {
+        if !changed {
+            self.redundant += 1;
+            return;
+        }
+        self.writes += 1;
+        self.changed[self.at / 64] |= 1 << (self.at % 64);
+        if let (true, Some(a)) = (self.track_wear, addr) {
+            self.wear.push(a);
+        }
+    }
+
+    fn hold(&mut self, _tracker: &StateTracker, item: u64) -> usize {
+        let number = self.addrs.len();
+        self.addrs.push(0);
+        self.events.push(SpaceEvent {
+            at: self.at,
+            copy: self.copy,
+            hold: Some((item, number)),
+        });
+        PROVISIONAL | number
+    }
+
+    fn release(&mut self, _tracker: &StateTracker) {
+        self.events.push(SpaceEvent {
+            at: self.at,
+            copy: self.copy,
+            hold: None,
+        });
+    }
+}
+
 /// The shared blocked batch kernel of the leveled ensembles (`FullSampleAndHold`'s
 /// stream-subsampling levels, `FpEstimator`'s universe-subsampling levels).
 ///
 /// Per block, `fill_levels` precomputes the deepest level of every
 /// `(item, repetition)` pair — in `(item, repetition)` order, so an ensemble whose
-/// level decision consumes its own rng draws them in exactly the per-item sequence —
-/// then the updates dispatch into the per-level `SampleAndHold` copies inside
-/// per-item epochs, with all logical read charges accumulated (both the ensemble's
-/// own, via the accumulator handed to `fill_levels`, and the copies') and flushed
-/// with one tracker call per batch.  Each copy still sees its substream in stream
-/// order, so every observable matches the per-item path — the batch-law tests pin
-/// this for both ensembles.
+/// level decision consumes its own rng draws them in exactly the per-item sequence.
+/// Then the kernel runs the ensemble copy by copy: copy `(r, l)` updates, in
+/// stream order, the block's items whose deepest level in repetition `r` is at
+/// least `l`, so each copy still sees its own substream in order and draws its
+/// private rng in the per-item sequence.  The copies charge the block's [`Ledger`],
+/// which is settled into the tracker once per block in the per-item path's order,
+/// so every observable — checkpoint bytes, reports, wear, rng draws — matches the
+/// per-item path; the batch-law tests pin this for both ensembles.
 ///
-/// `scratch` is the block-level buffer the deepest-level table is built in — owned
-/// by the calling ensemble and allocated once at construction, so repeated
-/// `process_batch` calls reuse one allocation instead of growing a fresh vector each
-/// call.  Contents on entry are irrelevant; the kernel clears it per block.
+/// `scratch` is the block-level buffer the deepest-level table is built in, and
+/// `ledger` the block's accounting — both owned by the calling ensemble and reused
+/// across calls.  Contents on entry are irrelevant; the kernel clears them per
+/// block.
 pub(crate) fn process_batch_leveled(
     tracker: &StateTracker,
     instances: &mut [Vec<SampleAndHold>],
     items: &[u64],
     scratch: &mut Vec<u16>,
+    ledger: &mut Ledger,
     mut fill_levels: impl FnMut(&[u64], &mut Vec<u16>, &mut u64),
 ) {
-    let first = tracker.begin_epochs(items.len() as u64);
+    let mut first = tracker.begin_epochs(items.len() as u64);
     let reps = instances.len();
-    let mut reads = 0u64;
     let deepest = scratch;
-    let mut offset = 0u64;
+    // The block indices of the items the running copy updates.
+    let mut live = [0u16; BATCH_BLOCK];
     for block in items.chunks(BATCH_BLOCK) {
         deepest.clear();
-        fill_levels(block, deepest, &mut reads);
-        for (i, &item) in block.iter().enumerate() {
-            tracker.enter_epoch(first + offset + i as u64);
-            for (r, row) in instances.iter_mut().enumerate() {
-                let d = deepest[i * reps + r] as usize;
-                for inst in row.iter_mut().take(d + 1) {
-                    inst.process_item_inner(item, &mut reads);
+        ledger.open(first, tracker.tracks_wear());
+        fill_levels(block, deepest, &mut ledger.reads);
+        for (r, row) in instances.iter_mut().enumerate() {
+            let mut len = block.len();
+            for (i, at) in live[..len].iter_mut().enumerate() {
+                *at = i as u16;
+            }
+            for (l, inst) in row.iter_mut().enumerate() {
+                ledger.copy = (r, l);
+                for &i in &live[..len] {
+                    ledger.at = i as usize;
+                    inst.process_item_inner(block[i as usize], ledger);
+                }
+                // Level l + 1 updates the items reaching past level l; filtered in
+                // place, in order, without a branch.
+                let mut kept = 0;
+                for j in 0..len {
+                    let i = live[j];
+                    live[kept] = i;
+                    kept += usize::from(deepest[i as usize * reps + r] as usize > l);
+                }
+                len = kept;
+                if len == 0 {
+                    break;
                 }
             }
         }
-        offset += block.len() as u64;
+        ledger.settle(tracker, instances, block.len());
+        first += block.len() as u64;
     }
-    tracker.record_reads(reads);
 }
 
 impl SampleAndHold {
@@ -246,40 +466,47 @@ impl SampleAndHold {
         self.items.get(&item).is_some_and(|s| s.held.is_some())
     }
 
-    fn now(&self) -> u64 {
-        self.tracker.epochs()
-    }
-
-    fn hold_counter(&mut self, item: u64, reads: &mut u64) {
-        // The register word: allocated and initialised to 0 ...
-        let addr = self.tracker.alloc(1).start;
-        self.tracker.record_write(Some(addr), true);
+    fn hold_counter<S: Sink>(&mut self, item: u64, sink: &mut S) {
+        // The register word and the metadata words: allocated, the register
+        // initialised to 0 ...
+        let addr = sink.hold(&self.tracker, item);
+        sink.write(&self.tracker, Some(addr), true);
         // ... then the occurrence that triggered the hold is counted.  Its draw is
         // accepted with probability (1+a)^0 = 1 but still consumed.
         let _ = self.rng.gen::<f64>();
-        *reads += 1;
-        self.tracker.record_write(Some(addr), true);
-        self.tracker.alloc(HELD_METADATA_WORDS);
-        self.tracker.record_write(None, true);
+        sink.reads(1);
+        sink.write(&self.tracker, Some(addr), true);
+        sink.write(&self.tracker, None, true);
         let held = HeldCounter {
             register: NonZeroU32::MIN,
             accept_p: self.accept.at(1),
             addr,
-            created_at: self.now(),
+            created_at: sink.now(&self.tracker),
         };
         self.items.entry(item).or_default().held = Some(held);
         self.held_len += 1;
         if self.held_len > self.counter_budget {
-            self.maintain();
+            self.maintain(sink);
+        }
+    }
+
+    /// Replaces the provisional register address `provisional` of `item`'s held
+    /// counter by its settled address `addr` — unless maintenance has dropped that
+    /// counter since (it then carries no address, or a later hold's).
+    fn settle_address(&mut self, item: u64, provisional: usize, addr: usize) {
+        if let Some(held) = self.items.get_mut(&item).and_then(|s| s.held.as_mut()) {
+            if held.addr == provisional {
+                held.addr = addr;
+            }
         }
     }
 
     /// Time-bucketed maintenance (Algorithm 1, lines 19–21): within each age bucket
     /// `[2^z, 2^{z+1})`, retain the half of the counters with the largest approximate
     /// counts and drop the rest.
-    fn maintain(&mut self) {
-        let now = self.now();
-        self.tracker.record_reads(self.held_len as u64);
+    fn maintain<S: Sink>(&mut self, sink: &mut S) {
+        let now = sink.now(&self.tracker);
+        sink.reads(self.held_len as u64);
 
         let mut buckets: FastMap<u32, Vec<(u64, f64)>> = fast_map();
         for (&item, slot) in &self.items {
@@ -309,27 +536,21 @@ impl SampleAndHold {
             if slot.reservoir_slots == 0 {
                 self.items.remove(&item);
             }
-            // The register word, then the metadata words.
-            self.tracker.dealloc(1);
-            self.tracker.dealloc(HELD_METADATA_WORDS);
-            self.tracker.record_write(None, true);
+            sink.release(&self.tracker);
+            sink.write(&self.tracker, None, true);
         }
     }
 
-    /// The per-update body, with read charges accumulated into `reads` instead of
-    /// being dispatched to the tracker one at a time.
-    ///
-    /// [`StreamAlgorithm::process_item`] flushes after one item; the batch kernels of
-    /// this type and of the enclosing ensembles (`FullSampleAndHold`, `FpEstimator`)
-    /// flush once per batch.  Only the read *total* is deferred — writes, epochs, and
-    /// state-change claims go to the tracker at their natural points, so the
-    /// accounting is observably identical (reads are a single aggregate counter).
+    /// The per-update body, charging its accounting to `sink`: the tracker as it
+    /// goes ([`Direct`], with reads flushed by the caller — after one item in
+    /// [`StreamAlgorithm::process_item`], once per batch in this type's batch
+    /// kernel), or the block [`Ledger`] of the ensembles' batch kernel.
     #[inline]
-    pub(crate) fn process_item_inner(&mut self, item: u64, reads: &mut u64) {
+    pub(crate) fn process_item_inner<S: Sink>(&mut self, item: u64, sink: &mut S) {
         // One physical probe of the merged table resolves both logical lookups of
         // the algorithm; the read charges still follow the logical path (counter
         // table, then — for unheld items — the reservoir).
-        *reads += 1;
+        sink.reads(1);
         match self.items.get_mut(&item) {
             // 1. Already held: update its Morris counter (a state change only when
             //    the probabilistic register advances).  Accepted or not, the
@@ -337,9 +558,9 @@ impl SampleAndHold {
             Some(ItemSlot {
                 held: Some(held), ..
             }) => {
-                *reads += 1;
+                sink.reads(1);
                 if self.rng.gen::<f64>() < held.accept_p {
-                    self.tracker.record_write(Some(held.addr), true);
+                    sink.write(&self.tracker, Some(held.addr), true);
                     held.register = held
                         .register
                         .checked_add(1)
@@ -349,14 +570,14 @@ impl SampleAndHold {
             }
             // 2. In the reservoir: start holding a counter for it.
             Some(_) => {
-                *reads += 1;
-                self.hold_counter(item, reads);
+                sink.reads(1);
+                self.hold_counter(item, sink);
             }
             // 3. Otherwise: sample it into the reservoir with probability ϱ.
             None => {
-                *reads += 1;
+                sink.reads(1);
                 if self.rng.gen::<f64>() < self.sample_prob {
-                    self.sample_into_reservoir(item);
+                    self.sample_into_reservoir(item, sink);
                 }
             }
         }
@@ -367,7 +588,7 @@ impl SampleAndHold {
         self.reservoir.get(slot).copied().unwrap_or(EMPTY_SLOT)
     }
 
-    fn sample_into_reservoir(&mut self, item: u64) {
+    fn sample_into_reservoir<S: Sink>(&mut self, item: u64, sink: &mut S) {
         let kappa = self.reservoir_addr.len;
         let slot = if self.next_free < kappa {
             self.next_free += 1;
@@ -377,8 +598,7 @@ impl SampleAndHold {
         };
         let old = self.reservoir_word(slot);
         let changed = old != item;
-        self.tracker
-            .record_write(Some(self.reservoir_addr.word(slot)), changed);
+        sink.write(&self.tracker, Some(self.reservoir_addr.word(slot)), changed);
         if !changed {
             return;
         }
@@ -524,7 +744,7 @@ impl SampleAndHold {
         Ok(())
     }
 
-    /// Items currently held in the reservoir (without counters).
+    /// Items currently in the reservoir, whether or not they also hold a counter.
     pub fn reservoir_items(&self) -> Vec<u64> {
         self.items
             .iter()
@@ -540,9 +760,9 @@ impl StreamAlgorithm for SampleAndHold {
     }
 
     fn process_item(&mut self, item: u64) {
-        let mut reads = 0;
-        self.process_item_inner(item, &mut reads);
-        self.tracker.record_reads(reads);
+        let mut sink = Direct::default();
+        self.process_item_inner(item, &mut sink);
+        self.tracker.record_reads(sink.reads);
     }
 
     fn tracker(&self) -> &StateTracker {
@@ -555,12 +775,12 @@ impl StreamAlgorithm for SampleAndHold {
     fn process_batch(&mut self, items: &[u64]) {
         let tracker = self.tracker.clone();
         let first = tracker.begin_epochs(items.len() as u64);
-        let mut reads = 0;
+        let mut sink = Direct::default();
         for (i, &item) in items.iter().enumerate() {
             tracker.enter_epoch(first + i as u64);
-            self.process_item_inner(item, &mut reads);
+            self.process_item_inner(item, &mut sink);
         }
-        tracker.record_reads(reads);
+        tracker.record_reads(sink.reads);
     }
 }
 

@@ -123,6 +123,18 @@ impl EpochState {
         self.last_change.store(last_change, Ordering::Relaxed);
     }
 
+    /// Enters the fresh epochs up to `last` and, if `claimed` names one of them,
+    /// records it as the last state change — where the per-item loop leaves the
+    /// clock after a span whose last changed epoch is `claimed`.
+    #[inline(always)]
+    pub(crate) fn enter_settled(&self, last: u64, claimed: Option<u64>) {
+        self.current.store(last, Ordering::Relaxed);
+        if let Some(e) = claimed {
+            debug_assert!(e >= 1 && e <= last);
+            self.last_change.store(e, Ordering::Relaxed);
+        }
+    }
+
     /// Enters the fresh epochs `first..first + n` (n ≥ 1) and marks every one of them
     /// as claimed, leaving `current`/`last_change` exactly where the per-item loop
     /// (enter, claim, enter, claim, …) would leave them.
@@ -183,9 +195,8 @@ mod tests {
 
     #[test]
     fn epochs_are_visible_per_activation_not_per_reservation() {
-        // Mid-batch observers (e.g. SampleAndHold's age-bucketed maintenance polls
-        // `epochs()` as its clock) must see the per-item epoch, not the end of the
-        // reserved span.
+        // A kernel that enters its epochs one at a time shows each to mid-batch
+        // readers of `epochs()`, not the end of the reserved span.
         let t = StateTracker::new();
         let first = t.begin_epochs(100);
         assert_eq!(first, 1);

@@ -14,9 +14,11 @@
 //!   ("epoch"), whether any tracked word of memory changed, along with finer-grained
 //!   counters (word writes, redundant writes, reads) and space usage (current / peak
 //!   words).  Its [`TrackerKind`] says whether it also records per-address wear.
-//! * [`TrackedCell`], [`TrackedVec`], [`TrackedMatrix`], [`TrackedMap`] — drop-in
-//!   storage primitives that report every mutation to their tracker and only count a
-//!   *state change* when the stored value actually differs.
+//! * [`TrackedCell`], [`TrackedMatrix`], [`TrackedMap`] — drop-in storage
+//!   primitives that report every mutation to their tracker and only count a *state
+//!   change* when the stored value actually differs.  [`TrackedVec`] is the same
+//!   for a flat array; no summary uses it, and it is kept as `TrackedMatrix`'s
+//!   test reference.
 //! * [`nvm`] — an asymmetric-memory (NVM / NAND flash) cost model that converts a
 //!   [`StateReport`] into simulated write energy, latency, and per-cell wear, following
 //!   the motivation of Section 1.1 of the paper.

@@ -23,8 +23,10 @@ pub struct AddrRange {
 impl AddrRange {
     /// An empty range used by structures created without an owning tracker allocation.
     /// Calling [`AddrRange::word`] on it is out of range for every index; callers
-    /// holding a possibly-empty range must check `len` first (see
-    /// [`crate::TrackedVec`]'s write path, the one such caller).
+    /// holding a possibly-empty range must check `len` first, as
+    /// [`crate::TrackedVec`]'s write path does (no production structure holds an
+    /// empty range: `TrackedVec` is kept as [`crate::TrackedMatrix`]'s test
+    /// reference).
     pub const EMPTY: AddrRange = AddrRange { start: 0, len: 0 };
 
     /// Address of the `i`-th word in this range.  Out-of-range indices (`i ≥ len`,
@@ -193,13 +195,17 @@ impl StateTracker {
 
     /// Reserves a span of `n` consecutive epochs and returns the id of the first.
     ///
-    /// The caller must activate each epoch in turn with [`StateTracker::enter_epoch`]
-    /// (ids `first..first + n`), exactly one activation per stream update, before
-    /// reserving another span or calling [`StateTracker::begin_epoch`].  The epoch
-    /// count observed through [`StateTracker::epochs`] advances per *activation*, so
-    /// mid-batch observers such as age-bucketed maintenance see the same values as
-    /// with per-item `begin_epoch` calls, while a whole batch costs no atomic
-    /// read-modify-write.
+    /// The caller must enter every epoch of the span (ids `first..first + n`), in
+    /// order, before reserving another span or calling
+    /// [`StateTracker::begin_epoch`]: one at a time with
+    /// [`StateTracker::enter_epoch`], exactly one activation per stream update, or
+    /// a run at a time through a bulk call that enters them
+    /// ([`StateTracker::record_scatter_epochs`], [`StateTracker::record_block`]).
+    /// The epoch count observed through [`StateTracker::epochs`] advances per
+    /// entered epoch, not per reservation, and a whole batch costs no atomic
+    /// read-modify-write.  A kernel whose update reads the clock mid-run (such as
+    /// age-bucketed maintenance) and settles through a bulk call must supply the
+    /// clock itself, since `epochs()` moves only when the run is settled.
     #[inline]
     pub fn begin_epochs(&self, n: u64) -> u64 {
         let _ = n;
@@ -306,6 +312,52 @@ impl StateTracker {
             debug_assert_eq!(addrs.len() as u64, total, "one address per write");
             self.add_wear(addrs, 1);
         }
+    }
+
+    /// Settles a block of reserved epochs whose accounting was collected apart
+    /// from the tracker: enters the epochs `first..first + n` and records, across
+    /// them, `writes` changed writes, `redundant` redundant writes, and wear at
+    /// `wear` — the bulk equivalent of the per-item loop
+    /// `for each item: enter_epoch(first + i); record_write(…)` for any writes.
+    /// Bit `i` of `changed` (word `i / 64`, bit `i % 64`) is set iff item `i`
+    /// made at least one changed write; each set bit claims one state change, and
+    /// the last one becomes the last-state-change epoch, exactly where the
+    /// per-item loop leaves it.  The caller must have reserved the span via
+    /// [`StateTracker::begin_epochs`] without entering any of its epochs.
+    ///
+    /// `wear` holds the address of every addressed changed write (each counts
+    /// once) and is read only when [`StateTracker::tracks_wear`]; a caller on a
+    /// tracker without wear passes an empty slice.
+    pub fn record_block(
+        &self,
+        first: u64,
+        n: u64,
+        changed: &[u64],
+        writes: u64,
+        redundant: u64,
+        wear: &[usize],
+    ) {
+        if n == 0 {
+            return;
+        }
+        let c = &*self.counters;
+        let claims: u64 = changed.iter().map(|w| u64::from(w.count_ones())).sum();
+        let last_changed = changed
+            .iter()
+            .rposition(|&w| w != 0)
+            .map(|k| (k * 64) as u64 + u64::from(63 - changed[k].leading_zeros()));
+        debug_assert!(
+            last_changed.is_none_or(|i| i < n),
+            "changed bit past the block"
+        );
+        debug_assert!(writes >= claims, "every changed item made a changed write");
+        c.epoch
+            .enter_settled(first + n - 1, last_changed.map(|i| first + i));
+        bump(&c.state_changes, claims);
+        bump(&c.word_writes, writes);
+        bump(&c.generation, writes);
+        bump(&c.redundant_writes, redundant);
+        self.add_wear(wear, 1);
     }
 
     /// Whether this tracker keeps per-address wear
@@ -532,6 +584,108 @@ mod tests {
     #[cfg(debug_assertions)]
     fn addr_range_word_out_of_range_panics_in_debug() {
         let _ = AddrRange::EMPTY.word(0);
+    }
+
+    /// One block's writes, per item: `(address, changed)`.
+    type Block = Vec<Vec<(Option<usize>, bool)>>;
+
+    /// Drives `block` after a warm-up epoch with a changed write, settling it by
+    /// the per-item `enter_epoch`/`record_write` loop or by one `record_block`
+    /// call, then one more per-item epoch; returns the full exported state and
+    /// the generation clock.
+    fn settle(kind: TrackerKind, block: &Block, bulk: bool) -> (TrackerState, u64) {
+        let t = StateTracker::of_kind(kind);
+        let r = t.alloc(8);
+        t.begin_epoch();
+        t.record_write(Some(r.word(7)), true);
+        let first = t.begin_epochs(block.len() as u64);
+        if bulk {
+            let mut changed = vec![0u64; block.len().div_ceil(64)];
+            let (mut writes, mut redundant, mut wear) = (0, 0, Vec::new());
+            for (i, item) in block.iter().enumerate() {
+                for &(addr, is_changed) in item {
+                    if !is_changed {
+                        redundant += 1;
+                        continue;
+                    }
+                    writes += 1;
+                    changed[i / 64] |= 1 << (i % 64);
+                    if let (true, Some(a)) = (t.tracks_wear(), addr) {
+                        wear.push(a);
+                    }
+                }
+            }
+            t.record_block(
+                first,
+                block.len() as u64,
+                &changed,
+                writes,
+                redundant,
+                &wear,
+            );
+        } else {
+            for (i, item) in block.iter().enumerate() {
+                t.enter_epoch(first + i as u64);
+                for &(addr, is_changed) in item {
+                    t.record_write(addr, is_changed);
+                }
+            }
+        }
+        // The clock continues where the block left it.
+        t.begin_epoch();
+        t.record_write(None, true);
+        (t.export_state(), t.state_change_generation())
+    }
+
+    #[test]
+    fn record_block_matches_the_per_item_loop() {
+        let quiet = |n: usize| -> Block { vec![vec![(Some(1), false)]; n] };
+        let mut last_only = quiet(100);
+        last_only[99] = vec![(Some(2), true)];
+        let mut straddle = quiet(130);
+        straddle[63] = vec![(Some(3), true), (None, true)];
+        straddle[64] = vec![(Some(3), true)];
+        let mut several = quiet(10);
+        several[4] = vec![
+            (Some(0), true),
+            (Some(0), true),
+            (None, true),
+            (Some(5), false),
+        ];
+        several[9] = vec![(Some(6), true), (Some(0), true)];
+        let wear: Block = (0..200)
+            .map(|i| match i % 3 {
+                0 => vec![(Some(i % 8), true)],
+                1 => vec![(Some(i % 5), true), (Some(7), true)],
+                _ => vec![],
+            })
+            .collect();
+        let cases: [(&str, Block); 7] = [
+            ("no changed item", quiet(200)),
+            ("change only on the last item", last_only),
+            ("changes at items 63 and 64", straddle),
+            ("a block of one, changed", vec![vec![(Some(4), true)]]),
+            ("a block of one, unchanged", quiet(1)),
+            ("several writes in one item", several),
+            ("wear addresses", wear),
+        ];
+        for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
+            for (label, block) in &cases {
+                assert_eq!(
+                    settle(kind, block, true),
+                    settle(kind, block, false),
+                    "{label} [{kind:?}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn record_block_of_no_items_is_a_no_op() {
+        let t = StateTracker::new();
+        let first = t.begin_epochs(0);
+        t.record_block(first, 0, &[], 0, 0, &[]);
+        assert_eq!(t.snapshot(), StateTracker::new().snapshot());
     }
 
     #[test]

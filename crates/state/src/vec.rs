@@ -5,9 +5,10 @@ use crate::{charge_init_writes, words_of};
 
 /// A tracked vector: every element mutation is charged to the owning [`StateTracker`].
 ///
-/// Sketch matrices (CountMin rows, CountSketch buckets, the reservoir `Q` of
-/// `SampleAndHold`, …) are stored in `TrackedVec`s so that their write behaviour is
-/// measured exactly.
+/// No summary stores its data in one any more: the sketches use
+/// [`crate::TrackedMatrix`] and `SampleAndHold` keeps its own reservoir.  It is
+/// kept as the per-cell reference that `TrackedMatrix`'s equivalence test
+/// compares against.
 #[derive(Debug, Clone)]
 pub struct TrackedVec<T> {
     data: Vec<T>,
