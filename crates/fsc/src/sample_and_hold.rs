@@ -141,7 +141,9 @@ pub(crate) trait Sink {
     /// The epoch of the update in progress: the maintenance clock and a new held
     /// counter's creation time.
     fn now(&self, tracker: &StateTracker) -> u64;
+    /// Charges `n` word reads.
     fn reads(&mut self, n: u64);
+    /// Charges a write to one word, as [`StateTracker::record_write`] does.
     fn write(&mut self, tracker: &StateTracker, addr: Option<usize>, changed: bool);
     /// Allocates a held counter's register and metadata words for `item`; returns
     /// the register's address.
