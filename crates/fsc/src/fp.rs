@@ -114,6 +114,16 @@ impl FpEstimator {
         self.instances.len()
     }
 
+    /// Held counters dropped by maintenance across all copies since this
+    /// instance was built or restored (untracked; tests/reporting).
+    pub fn maintenance_drops(&self) -> u64 {
+        self.instances
+            .iter()
+            .flatten()
+            .map(SampleAndHold::maintenance_drops)
+            .sum()
+    }
+
     /// The randomized level-set boundary shift `λ`.
     pub fn lambda(&self) -> f64 {
         self.lambda

@@ -102,6 +102,16 @@ impl FullSampleAndHold {
         self.instances.len()
     }
 
+    /// Held counters dropped by maintenance across all copies since this
+    /// instance was built or restored (untracked; tests/reporting).
+    pub fn maintenance_drops(&self) -> u64 {
+        self.instances
+            .iter()
+            .flatten()
+            .map(SampleAndHold::maintenance_drops)
+            .sum()
+    }
+
     /// Serializes the post-construction state: the ensemble's own rng plus every
     /// copy's dynamic state, in `(repetition, level)` order.  Structure (level count,
     /// per-copy sizing) re-derives from the parameters on restore.

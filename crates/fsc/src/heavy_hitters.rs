@@ -52,6 +52,12 @@ impl FewStateHeavyHitters {
         self.params.p
     }
 
+    /// Held counters dropped by maintenance across the ensemble's copies since
+    /// this instance was built or restored (untracked; tests/reporting).
+    pub fn maintenance_drops(&self) -> u64 {
+        self.inner.maintenance_drops()
+    }
+
     /// A self-contained estimate of `F_p` built from the summary's own tracked items:
     /// `max(m, Σ_j f̂_j^p)`.  (`F_p ≥ m` always holds for `p ≥ 1` on insertion-only
     /// streams, so this never underestimates by more than the untracked light mass.)

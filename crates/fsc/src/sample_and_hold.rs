@@ -22,6 +22,7 @@
 //!   harness (the paper likewise indexes updates by `t` without charging for a clock).
 
 use std::num::NonZeroU32;
+use std::sync::OnceLock;
 
 use fsc_counters::fastmap::{fast_map, FastMap};
 use fsc_counters::morris::{self, AcceptanceTable};
@@ -121,7 +122,13 @@ pub struct SampleAndHold {
     next_free: usize,
     counter_budget: usize,
     sample_prob: f64,
-    name: String,
+    /// Held counters dropped by maintenance since this instance was built or
+    /// restored.  Untracked and not checkpointed: an observation for tests and
+    /// reports, not summary state.
+    maintenance_drops: u64,
+    /// Formatted on the first [`StreamAlgorithm::name`] call: a copy inside an
+    /// ensemble is never asked for its name.
+    name: OnceLock<String>,
 }
 
 /// Sentinel marking an empty reservoir slot.
@@ -419,7 +426,7 @@ impl SampleAndHold {
         // is stored until a changed write reaches it.
         tracker.record_changed_run(Some(reservoir_addr.start), kappa as u64);
         Self {
-            name: format!("SampleAndHold(p={}, eps={})", params.p, params.eps),
+            name: OnceLock::new(),
             params: params.clone(),
             tracker: tracker.clone(),
             rng,
@@ -431,6 +438,7 @@ impl SampleAndHold {
             next_free: 0,
             counter_budget,
             sample_prob,
+            maintenance_drops: 0,
         }
     }
 
@@ -461,6 +469,12 @@ impl SampleAndHold {
     /// Number of currently held counters.
     pub fn held_counters(&self) -> usize {
         self.held_len
+    }
+
+    /// Held counters dropped by maintenance since this instance was built or
+    /// restored (untracked; tests/reporting).
+    pub fn maintenance_drops(&self) -> u64 {
+        self.maintenance_drops
     }
 
     /// Whether `item` currently holds a Morris counter (untracked; tests/reporting).
@@ -528,6 +542,7 @@ impl SampleAndHold {
                 to_remove.push(item);
             }
         }
+        self.maintenance_drops += to_remove.len() as u64;
         for item in to_remove {
             let slot = self
                 .items
@@ -547,7 +562,14 @@ impl SampleAndHold {
     /// goes ([`Direct`], with reads flushed by the caller — after one item in
     /// [`StreamAlgorithm::process_item`], once per batch in this type's batch
     /// kernel), or the block [`Ledger`] of the ensembles' batch kernel.
-    #[inline]
+    ///
+    /// Forced inline, so each copy's visit compiles into the copy-by-copy loop of
+    /// [`process_batch_leveled`]; the rare hold, sample and maintain paths stay
+    /// out of line.  Under plain `#[inline]`, LLVM inlined those paths into the
+    /// body and left the body itself out of line, so every visit (about six per
+    /// stream item) paid a call and a 248-byte frame: ~15% of `kernel_fshh`'s
+    /// throughput.
+    #[inline(always)]
     pub(crate) fn process_item_inner<S: Sink>(&mut self, item: u64, sink: &mut S) {
         // One physical probe of the merged table resolves both logical lookups of
         // the algorithm; the read charges still follow the logical path (counter
@@ -758,7 +780,12 @@ impl SampleAndHold {
 
 impl StreamAlgorithm for SampleAndHold {
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            format!(
+                "SampleAndHold(p={}, eps={})",
+                self.params.p, self.params.eps
+            )
+        })
     }
 
     fn process_item(&mut self, item: u64) {
@@ -858,6 +885,7 @@ mod tests {
     use super::*;
     use fsc_streamgen::blocks::counterexample_stream;
     use fsc_streamgen::planted::{planted_stream, PlantedSpec};
+    use fsc_streamgen::uniform::uniform_stream;
     use fsc_streamgen::zipf::zipf_stream;
     use fsc_streamgen::FrequencyVector;
 
@@ -1103,5 +1131,23 @@ mod tests {
         assert!(alg.counter_budget() >= alg.reservoir_slots());
         assert_eq!(alg.held_counters(), 0);
         assert_eq!(alg.report().epochs, 0);
+    }
+
+    #[test]
+    fn a_copy_formats_its_name_from_its_parameters() {
+        let alg = SampleAndHold::standalone(&params(1 << 10, 1 << 12, 0.2));
+        assert_eq!(alg.name(), "SampleAndHold(p=2, eps=0.2)");
+        assert_eq!(alg.name(), "SampleAndHold(p=2, eps=0.2)");
+    }
+
+    #[test]
+    fn maintenance_drops_are_not_checkpointed() {
+        let (n, m) = (1024, 4096);
+        let mut alg = SampleAndHold::standalone(&params(n, m, 0.9).with_seed(5));
+        alg.process_stream(&uniform_stream(n, m, 5));
+        assert!(alg.maintenance_drops() > 0, "maintenance never ran");
+        let restored = SampleAndHold::restore(&alg.checkpoint()).unwrap();
+        assert_eq!(restored.maintenance_drops(), 0);
+        assert_eq!(restored.checkpoint(), alg.checkpoint());
     }
 }

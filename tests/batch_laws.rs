@@ -1,6 +1,6 @@
 //! Batch laws: the specialized `process_batch` kernels must be **observably
 //! identical** to driving the same
-//! algorithm with per-item `update` calls — same answers, same [`StateReport`]
+//! algorithm with per-item `update` calls — same answers, same `StateReport`
 //! (epochs, state changes, word writes, redundant writes, reads, space), and same
 //! per-address wear tables — for every batch split and every seed.
 //!
@@ -23,8 +23,8 @@ use few_state_changes::baselines::{
     SpaceSaving,
 };
 use few_state_changes::state::{
-    EntropyEstimator, FrequencyEstimator, MomentEstimator, Snapshot, StateReport, StateTracker,
-    StreamAlgorithm, SupportRecovery, TrackerKind,
+    EntropyEstimator, FrequencyEstimator, MomentEstimator, Snapshot, StateTracker, StreamAlgorithm,
+    SupportRecovery, TrackerKind,
 };
 use few_state_changes::streamgen::uniform::uniform_stream;
 use few_state_changes::streamgen::zipf::zipf_stream;
@@ -44,15 +44,14 @@ fn check_batch_law<A: StreamAlgorithm>(
 }
 
 /// [`check_batch_law`] on trackers of `kind`; the wear tables are compared where
-/// `kind` keeps them (both are `None` otherwise).  Returns the per-item side's
-/// report.
+/// `kind` keeps them (both are `None` otherwise).  Returns the per-item side.
 fn check_batch_law_as<A: StreamAlgorithm>(
     kind: TrackerKind,
     make: impl Fn(&StateTracker) -> A,
     digest: impl Fn(&A) -> Vec<u64>,
     stream: &[u64],
     cuts: &[usize],
-) -> StateReport {
+) -> A {
     let t_item = StateTracker::of_kind(kind);
     let mut per_item = make(&t_item);
     for &x in stream {
@@ -86,7 +85,7 @@ fn check_batch_law_as<A: StreamAlgorithm>(
         digest(&per_item),
         "{name}: batched answers diverged"
     );
-    per_item.report()
+    per_item
 }
 
 fn frequency_digest<A: FrequencyEstimator>(alg: &A) -> Vec<u64> {
@@ -352,44 +351,57 @@ proptest! {
 /// `fsc`) with batches cut inside blocks, on a flat stream whose coarse accuracy
 /// keeps the counter budgets small: held counters outgrow them and maintenance
 /// drops counters mid-block.  Both tracker kinds; the digest holds the
-/// checkpoint bytes, so the whole held-counter table and tracker state compare.
-/// Each per-item run must end below its peak space, so the case cannot quietly
-/// stop dropping counters; seed 4 is left out because its heavy-hitter run
-/// refills to its peak by the end, where this guard cannot see a drop.
+/// checkpoint bytes and the count of counters maintenance dropped, so the whole
+/// held-counter table, tracker state and drops compare.  Each per-item run must
+/// have dropped a counter, so the case cannot quietly stop running maintenance;
+/// where a run ends below its peak space, that is asserted too (seed 4's
+/// heavy-hitter run refills to its peak by the end).
 #[test]
 fn ensembles_obey_the_batch_law_across_blocks_and_through_maintenance() {
     let (n, len) = (1024, 4096);
     let cut_sets: [&[usize]; 3] = [&[], &[1000, 3100], &[1, 1025, 1500, 2047, 2049]];
-    for seed in [1u64, 2, 3, 5, 6] {
+    for seed in 1u64..=6 {
         let stream = uniform_stream(n, len, seed);
         let params = Params::new(2.0, 0.9, n, len).with_seed(seed);
         for kind in [TrackerKind::Full, TrackerKind::FullAddressTracked] {
             for cuts in cut_sets {
-                let reports = [
-                    check_batch_law_as(
-                        kind,
-                        |_| FewStateHeavyHitters::new(params.clone().with_tracker(kind)),
-                        table_digest,
-                        &stream,
-                        cuts,
-                    ),
-                    check_batch_law_as(
-                        kind,
-                        |t| FpEstimator::with_tracker(params.clone(), t),
-                        |a| {
-                            let mut d = vec![a.estimate_moment().to_bits()];
-                            d.extend(a.checkpoint().into_iter().map(u64::from));
-                            d
-                        },
-                        &stream,
-                        cuts,
-                    ),
+                let hh = check_batch_law_as(
+                    kind,
+                    |_| FewStateHeavyHitters::new(params.clone().with_tracker(kind)),
+                    |a| {
+                        let mut d = table_digest(a);
+                        d.push(a.maintenance_drops());
+                        d
+                    },
+                    &stream,
+                    cuts,
+                );
+                let fp = check_batch_law_as(
+                    kind,
+                    |t| FpEstimator::with_tracker(params.clone(), t),
+                    |a| {
+                        let mut d = vec![a.estimate_moment().to_bits(), a.maintenance_drops()];
+                        d.extend(a.checkpoint().into_iter().map(u64::from));
+                        d
+                    },
+                    &stream,
+                    cuts,
+                );
+                let runs = [
+                    ("heavy hitters", hh.maintenance_drops(), hh.report()),
+                    ("Fp", fp.maintenance_drops(), fp.report()),
                 ];
-                for r in reports {
+                for (alg, drops, r) in runs {
                     assert!(
-                        r.words_peak > r.words_current,
-                        "seed {seed}: maintenance never dropped a counter: {r:?}"
+                        drops > 0,
+                        "seed {seed} {alg}: maintenance never dropped a counter: {r:?}"
                     );
+                    if (seed, alg) != (4, "heavy hitters") {
+                        assert!(
+                            r.words_peak > r.words_current,
+                            "seed {seed} {alg}: the run ended at its peak space: {r:?}"
+                        );
+                    }
                 }
             }
         }
