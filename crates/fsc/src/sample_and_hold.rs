@@ -963,12 +963,16 @@ mod tests {
     #[test]
     fn maintenance_keeps_the_heavy_hitter_on_the_counterexample_stream() {
         // The Section 1.4 stream: time-bucketed maintenance must not evict the true
-        // heavy hitter in favour of locally-large pseudo-heavy items.
-        let cx = counterexample_stream(12);
+        // heavy hitter in favour of locally-large pseudo-heavy items.  At scale 20
+        // and ε = 0.9 the counter budget (264) is small enough that maintenance
+        // runs; at scale 12 and ε = 0.3 it never did, and the test checked nothing
+        // about maintenance.
+        let cx = counterexample_stream(20);
         let n = cx.stream.len();
-        let p = Params::new(2.0, 0.3, n, n).with_seed(17);
+        let p = Params::new(2.0, 0.9, n, n).with_seed(17);
         let mut alg = SampleAndHold::standalone(&p);
         alg.process_stream(&cx.stream);
+        assert!(alg.maintenance_drops() > 0, "maintenance never ran");
         let est = alg.estimate(cx.heavy_hitter);
         assert!(
             est >= 0.4 * cx.heavy_freq as f64,

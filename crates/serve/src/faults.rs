@@ -3,7 +3,7 @@
 //!
 //! The plan is *armed*, not random: each knob names one failure class (torn
 //! checkpoint write, torn or corrupt journal append, failed journal fsync,
-//! crash point, dropped connection, stalled ingest) and fires at a
+//! crash point, dropped connection, stalled ingest or checkpoint) and fires at a
 //! configured occurrence count, with any remaining nondeterminism (where a torn
 //! write tears, which byte a corruption flips) drawn from a seeded SplitMix64
 //! stream.  Runs with the same plan and seed inject byte-identical faults, which
@@ -25,12 +25,19 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Where inside the write path of one ingest batch an injected crash fires.
+/// Where inside the write path of one ingest batch, or inside one checkpoint,
+/// an injected crash fires.
 ///
-/// The three points bracket the journal append and the in-memory apply — the
-/// interleavings the durability contract is stated over. In every case the
-/// client never sees an ack for the batch in flight; what differs is whether
-/// the journal holds the batch when the server comes back.
+/// The first three points bracket the journal append and the in-memory apply
+/// of an ingest — the interleavings the durability contract is stated over. In
+/// every case the client never sees an ack for the batch in flight; what
+/// differs is whether the journal holds the batch when the server comes back.
+///
+/// The last four follow one checkpoint's steps after the tenant lock is
+/// released: journal rotation, delta write, delta fsync and the unlink of the
+/// retired journal segment. The `Checkpoint` is never acked; what differs is
+/// which of the retired segment, the new delta and the fresh segment recovery
+/// finds. For these the armed ordinal counts checkpoints that write a delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Before the journal append: the batch is nowhere on disk.
@@ -41,6 +48,17 @@ pub enum CrashPoint {
     /// After the apply but before the ack is written: the batch is journaled
     /// *and* applied, only the ack is lost.
     AfterApply,
+    /// After the journal was rotated (and any stall the plan holds the
+    /// checkpoint for): the retired segment and the fresh one are both on disk,
+    /// no delta covers the retired one.
+    AfterRotate,
+    /// After the delta file was written, before its fsync.
+    AfterDeltaWrite,
+    /// After the delta file and its directory were fsynced, before the retired
+    /// segment is unlinked.
+    AfterDeltaSync,
+    /// After the retired segment was unlinked, before the checkpoint is acked.
+    AfterUnlink,
 }
 
 /// How an injected fault mangles one journal append's bytes.
@@ -71,14 +89,19 @@ pub struct FaultPlan {
     /// Fail the `nth` journal fsync (1-based).
     fail_sync_at: Option<u64>,
     syncs: AtomicU64,
-    /// Crash at this point inside the `nth` ingest (1-based).
+    /// Crash at this point inside the `nth` ingest or delta-writing checkpoint
+    /// (1-based).
     crash_at: Option<(CrashPoint, u64)>,
     ingests: AtomicU64,
+    persists: AtomicU64,
     /// Drop each connection after it has answered this many frames.
     drop_after_frames: Option<u64>,
     /// Added to every ingest, holding the tenant lock (drills the admission
     /// bound: concurrent writers see `Overloaded`, readers stay live).
     stall_ingest: Option<Duration>,
+    /// Added to every delta-writing checkpoint right after it releases the
+    /// tenant lock (drills ingest running beside an in-flight checkpoint).
+    stall_persist: Option<Duration>,
     /// Whether the [`Request::Crash`](crate::protocol::Request::Crash) drill
     /// frame is honored.
     allow_crash_frame: bool,
@@ -130,7 +153,9 @@ impl FaultPlan {
     }
 
     /// Arms an injected crash at `point` inside the `nth` ingest (1-based,
-    /// counted across all tenants). The connection dies without a response,
+    /// counted across all tenants), or, for the checkpoint points from
+    /// [`CrashPoint::AfterRotate`] on, inside the `nth` checkpoint that writes
+    /// a delta. The connection dies without a response, and the server stops,
     /// exactly like a `kill -9` at that instruction.
     pub fn with_crash_at(mut self, point: CrashPoint, nth: u64) -> Self {
         self.crash_at = Some((point, nth));
@@ -148,6 +173,13 @@ impl FaultPlan {
     /// Arms slow ingest: every ingest holds the tenant for `stall` extra time.
     pub fn with_stall_ingest(mut self, stall: Duration) -> Self {
         self.stall_ingest = Some(stall);
+        self
+    }
+
+    /// Arms slow checkpoints: every checkpoint that writes a delta sleeps for
+    /// `stall` after releasing the tenant lock, before its delta is encoded.
+    pub fn with_stall_persist(mut self, stall: Duration) -> Self {
+        self.stall_persist = Some(stall);
         self
     }
 
@@ -222,7 +254,15 @@ impl FaultPlan {
         self.ingests.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Whether the armed crash fires at `point` inside ingest number `nth`.
+    /// Called by the server when a checkpoint that writes a delta has released
+    /// the tenant lock.  Returns its 1-based ordinal, which the checkpoint
+    /// crash points key on.
+    pub fn persist_begun(&self) -> u64 {
+        self.persists.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Whether the armed crash fires at `point` inside ingest (or checkpoint)
+    /// number `nth`.
     pub fn crash_now(&self, point: CrashPoint, nth: u64) -> bool {
         self.crash_at == Some((point, nth))
     }
@@ -237,6 +277,11 @@ impl FaultPlan {
     /// The armed per-ingest stall, if any.
     pub fn ingest_stall(&self) -> Option<Duration> {
         self.stall_ingest
+    }
+
+    /// The armed per-checkpoint stall, if any.
+    pub fn persist_stall(&self) -> Option<Duration> {
+        self.stall_persist
     }
 
     /// Durable writes attempted so far (tells a drill whether its tear fired).
@@ -305,6 +350,7 @@ mod tests {
         assert!(!plan.crash_now(CrashPoint::AfterApply, 1));
         assert!(!plan.should_drop(u64::MAX));
         assert!(plan.ingest_stall().is_none());
+        assert!(plan.persist_stall().is_none());
         assert!(!plan.crash_frame_allowed());
         assert!(!plan.sync_fails());
     }
@@ -353,5 +399,13 @@ mod tests {
         assert!(!plan.crash_now(CrashPoint::AfterApply, nth));
         assert!(plan.crash_now(CrashPoint::AfterJournal, nth));
         assert!(!plan.crash_now(CrashPoint::AfterJournal, plan.ingest_begun()));
+
+        // Checkpoint points count checkpoints, not ingests.
+        let plan = FaultPlan::none().with_crash_at(CrashPoint::AfterDeltaWrite, 2);
+        assert_eq!(plan.ingest_begun(), 1);
+        assert_eq!(plan.persist_begun(), 1);
+        let nth = plan.persist_begun();
+        assert!(!plan.crash_now(CrashPoint::AfterRotate, nth));
+        assert!(plan.crash_now(CrashPoint::AfterDeltaWrite, nth));
     }
 }

@@ -13,9 +13,10 @@
 //!   the loop to see the flag, drop that connection, and join the connection
 //!   threads (each notices the flag within its 10 ms idle read timeout).
 //! * **Writes lock, reads don't.**  Each tenant's engine lives behind a mutex
-//!   taken by ingest/checkpoint; queries go through the engine's lock-free
-//!   [`ServeHandle`] (the cached serving view), so a stalled or overloaded
-//!   ingest path never blocks readers — they serve the last published view.
+//!   taken by ingest, and by a checkpoint only for its snapshot and journal
+//!   rotation; queries go through the engine's lock-free [`ServeHandle`] (the
+//!   cached serving view), so a stalled or overloaded ingest path never blocks
+//!   readers — they serve the last published view.
 //! * **Admission control.**  At most [`ServerConfig::max_inflight_ingest`]
 //!   ingest requests are admitted concurrently; excess load is shed with the
 //!   typed [`ServeError::Overloaded`] instead of queueing without bound.
@@ -30,10 +31,20 @@
 //! [`Request::Shutdown`] / [`ServerHandle::stop`]) persist the applied state as
 //! delta-chain entries.  Between checkpoints, every ingest batch is appended to
 //! the tenant's write-ahead journal ([`crate::wal`]) *before* the ack, and each
-//! checkpoint truncates the journal it has just made redundant.  Recovery is
+//! checkpoint retires the journal it makes redundant.  Recovery is
 //! restore-chain-tip → truncate any torn journal tail → replay the journal
 //! suffix through the idempotency cursor, so a restarted server answers
 //! identically to a twin that saw every acked batch.
+//!
+//! A checkpoint holds the tenant lock only to take its snapshot and rotate
+//! the journal ([`Wal::rotate`]): the records the snapshot covers move to the
+//! retired segment and ingest goes on appending to a fresh one.  A per-tenant
+//! persist mutex, always taken before the tenant lock, serialises the rest
+//! off the lock: encode the delta, apply it to the in-memory chain tip, write
+//! and fsync it, unlink the retired segment, ack.  A poisoned journal is not
+//! rotated but truncated once the delta is durable, and after a torn delta
+//! nothing is rotated, unlinked or truncated until a restart, which replays
+//! the retired segment and the fresh one as one journal.
 //!
 //! The [`Durability`] mode sets when the ack is safe against *power loss*:
 //! [`Durability::AckAfterDurable`] fsyncs the journal append before every ack
@@ -49,13 +60,13 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use fsc_engine::{DynEngine, EngineConfig, ServeHandle};
-use fsc_state::delta::{encode_delta, CheckpointChain};
+use fsc_state::delta::{encode_delta, ChainTip};
 
 use crate::faults::{CrashPoint, FaultPlan};
 use crate::protocol::{
@@ -66,7 +77,7 @@ use crate::storage::{
     list_tenants, load_tenant, RecoveryReport, TenantMeta, TenantOutcome, TenantRecovery,
     TenantSnapshot, TenantStorage,
 };
-use crate::wal::{Durability, Wal, WalAppend};
+use crate::wal::{remove_retired, Durability, Wal, WalAppend};
 
 /// How servers construct engines from registry algorithm ids, without this crate
 /// depending on the registry: `fsc-bench` supplies the closure (its
@@ -143,9 +154,19 @@ impl ServerConfig {
     }
 }
 
-/// One tenant: the locked write side and the lock-free read side.
+/// One tenant: the checkpoint side, the locked write side and the lock-free
+/// read side.
+///
+/// Lock order: `persist` before `inner`, never the reverse. Nothing takes
+/// `persist` while holding `inner`, so a checkpoint waiting for the tenant lock
+/// and a writer waiting for a checkpoint cannot deadlock.
 struct Tenant {
+    /// Serialises checkpoints, and holds what only they touch.
+    persist: Mutex<Persister>,
     inner: Mutex<TenantInner>,
+    /// Deltas applied at recovery plus deltas appended to the tip since
+    /// (`Stats.chain_len`), readable without waiting for a checkpoint.
+    chain_len: AtomicU64,
     /// The engine's serving-view handle: queries answer from here without
     /// touching the mutex.
     serve: Arc<dyn ServeHandle>,
@@ -179,21 +200,160 @@ struct TenantInner {
     engine: Box<dyn DynEngine>,
     /// Next expected ingest sequence number (the idempotency cursor).
     next_seq: u64,
-    /// In-memory image of the durable delta chain.  Chain epochs are
-    /// applied-batch counts (`next_seq` at capture), which strictly increase
-    /// per applied batch — including empty ones — so every checkpoint with new
-    /// batches has a recordable epoch.
-    chain: CheckpointChain,
-    storage: TenantStorage,
     /// The write-ahead batch journal: appended (and fsynced, per mode) before
-    /// every ack, truncated by every checkpoint that lands intact.
+    /// every ack, rotated by every checkpoint that can retire its records.
     wal: Wal,
-    /// Cleared permanently when a delta write tears: past that point the
-    /// on-disk chain is broken mid-sequence and the journal is the only
-    /// durable copy of the acked suffix, so checkpoints must stop truncating
-    /// it until a restart replays disk truth.
+    /// Cleared permanently when a delta write tears or fails, or a checkpoint
+    /// fails after rotating the journal: past that point the on-disk chain
+    /// stops short of the journal, which is the only durable copy of the acked
+    /// suffix, so checkpoints must stop rotating, unlinking and truncating it
+    /// until a restart replays disk truth.
     wal_ok: bool,
     boot: TenantBoot,
+}
+
+/// What only a checkpoint touches, behind [`Tenant::persist`].
+struct Persister {
+    /// The tip of the in-memory delta chain. Chain epochs are applied-batch
+    /// counts (`next_seq` at capture), which strictly increase per applied
+    /// batch — including empty ones — so every checkpoint with new batches has
+    /// a recordable epoch.
+    tip: ChainTip,
+    storage: TenantStorage,
+}
+
+/// Why a checkpoint did not finish.
+#[derive(Debug)]
+enum PersistError {
+    /// An armed checkpoint [`CrashPoint`] fired: the server dies here,
+    /// answering nothing.
+    Crash,
+    /// The step that failed, and why.
+    Failed(String),
+}
+
+impl From<String> for PersistError {
+    fn from(detail: String) -> Self {
+        PersistError::Failed(detail)
+    }
+}
+
+impl std::fmt::Display for PersistError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PersistError::Crash => write!(f, "an injected crash point fired"),
+            PersistError::Failed(detail) => write!(f, "{detail}"),
+        }
+    }
+}
+
+/// `Err(Crash)` if the armed crash fires at `point` in checkpoint `nth`.
+fn crash_point(faults: &FaultPlan, point: CrashPoint, nth: u64) -> Result<(), PersistError> {
+    if faults.crash_now(point, nth) {
+        return Err(PersistError::Crash);
+    }
+    Ok(())
+}
+
+impl Tenant {
+    /// Makes the applied state durable as one delta against the chain tip.
+    /// A no-op when no batch was applied since the tip, unless the journal is
+    /// poisoned: the tip already covers every applied batch, so the truncation
+    /// alone makes the journal trustworthy again.
+    ///
+    /// Under the tenant lock it only takes the snapshot and rotates the
+    /// journal, so the retired segment holds exactly what the snapshot covers.
+    /// The rest runs with only the persist mutex held, while ingests append to
+    /// the fresh segment: encode the delta, apply it to the tip (which checks
+    /// it), write and fsync it, then unlink the retired segment.
+    ///
+    /// A poisoned journal, or one that a failed delta made the only durable
+    /// copy of the acked suffix (`wal_ok` cleared), is not rotated. A poisoned
+    /// one refuses appends, so the snapshot still covers all of it once the
+    /// delta is durable, and the tenant lock is taken again to truncate it.
+    fn persist(&self, faults: &FaultPlan) -> Result<(), PersistError> {
+        let mut p = self.persist.lock().unwrap();
+        let (full, epoch, rotated) = {
+            let mut inner = self.inner.lock().unwrap();
+            if inner.next_seq == p.tip.epoch() {
+                return if inner.wal.is_poisoned() {
+                    Ok(inner.truncate_journal()?)
+                } else {
+                    Ok(())
+                };
+            }
+            let full = inner.snapshot().encode();
+            let rotated = inner.wal_ok && !inner.wal.is_poisoned();
+            if rotated {
+                inner
+                    .wal
+                    .rotate()
+                    .map_err(|e| format!("rotating journal: {e}"))?;
+            }
+            (full, inner.next_seq, rotated)
+        };
+        let nth = faults.persist_begun();
+        if let Some(stall) = faults.persist_stall() {
+            std::thread::sleep(stall);
+        }
+        crash_point(faults, CrashPoint::AfterRotate, nth)?;
+        let written = p.write_delta(&full, epoch, faults, nth);
+        let advanced = p.tip.epoch() == epoch;
+        if advanced {
+            self.chain_len.fetch_add(1, Ordering::Relaxed);
+        }
+        match written {
+            Ok(true) => {}
+            Err(PersistError::Crash) => return Err(PersistError::Crash),
+            // A torn or failed delta write leaves the on-disk chain short of
+            // the journal's covered records (after a rotation, any failure
+            // does), so the journal stays the durable copy of the acked
+            // suffix from here on.  A torn write is still answered Ok.
+            torn_or_failed => {
+                if rotated || advanced {
+                    self.inner.lock().unwrap().wal_ok = false;
+                }
+                return torn_or_failed.map(|_| ());
+            }
+        }
+        if !rotated {
+            return Ok(self.inner.lock().unwrap().truncate_journal()?);
+        }
+        if let Err(e) = remove_retired(p.storage.dir()) {
+            self.inner.lock().unwrap().wal_ok = false;
+            return Err(format!("unlinking retired journal: {e}").into());
+        }
+        crash_point(faults, CrashPoint::AfterUnlink, nth)
+    }
+}
+
+impl Persister {
+    /// Encodes `full` (the snapshot at `epoch`) as a delta against the tip,
+    /// applies it to the tip, then writes and fsyncs it through the fault
+    /// plan.  Returns whether the delta landed intact.
+    fn write_delta(
+        &mut self,
+        full: &[u8],
+        epoch: u64,
+        faults: &FaultPlan,
+        nth: u64,
+    ) -> Result<bool, PersistError> {
+        let delta = encode_delta(self.tip.bytes(), full, self.tip.epoch(), epoch)
+            .map_err(|e| format!("encoding delta: {e}"))?;
+        self.tip
+            .append_delta(&delta)
+            .map_err(|e| format!("appending delta: {e}"))?;
+        let (file, intact) = self
+            .storage
+            .write_delta(&delta, faults)
+            .map_err(|e| format!("writing delta: {e}"))?;
+        crash_point(faults, CrashPoint::AfterDeltaWrite, nth)?;
+        self.storage
+            .sync_delta(&file)
+            .map_err(|e| format!("syncing delta: {e}"))?;
+        crash_point(faults, CrashPoint::AfterDeltaSync, nth)?;
+        Ok(intact)
+    }
 }
 
 impl TenantInner {
@@ -204,41 +364,6 @@ impl TenantInner {
             epoch: self.next_seq,
             engine: self.engine.checkpoint(),
         }
-    }
-
-    /// Makes the current state durable: one delta against the chain tip, through
-    /// the fault plan, then truncates the journal the delta made redundant.  A
-    /// no-op when no batch was applied since the tip, unless the journal is
-    /// poisoned: the tip already covers every applied batch, so the truncation
-    /// alone makes the journal trustworthy again.
-    fn persist(&mut self, faults: &FaultPlan) -> Result<(), String> {
-        if self.next_seq == self.chain.tip_epoch() {
-            return if self.wal.is_poisoned() {
-                self.truncate_journal()
-            } else {
-                Ok(())
-            };
-        }
-        let full = self.snapshot().encode();
-        let delta = encode_delta(
-            self.chain.tip_bytes(),
-            &full,
-            self.chain.tip_epoch(),
-            self.next_seq,
-        )
-        .map_err(|e| format!("encoding delta: {e}"))?;
-        self.chain
-            .append_delta(delta.clone())
-            .map_err(|e| format!("appending delta: {e}"))?;
-        let written = self.storage.append_delta(&delta, faults);
-        // A torn or failed delta write leaves the on-disk chain short of the
-        // in-memory tip, so the journal stays the durable copy of the acked
-        // suffix from here on.
-        if !matches!(written, Ok(true)) {
-            self.wal_ok = false;
-        }
-        written.map_err(|e| format!("writing delta: {e}"))?;
-        self.truncate_journal()
     }
 
     /// The typed refusal of an ingest whose journal append or fsync failed,
@@ -309,14 +434,18 @@ impl Shared {
         self.tenants.read().unwrap().get(name).cloned()
     }
 
-    /// Checkpoints every tenant (the shutdown sweep).  Returns the first error.
-    fn persist_all(&self) -> Result<(), String> {
+    /// Checkpoints every tenant (the shutdown sweep).  Returns the first
+    /// error; an injected crash ends the sweep at once.
+    fn persist_all(&self) -> Result<(), PersistError> {
         let tenants: Vec<Arc<Tenant>> = self.tenants.read().unwrap().values().cloned().collect();
         let mut first_err = None;
         for tenant in tenants {
-            let mut inner = tenant.inner.lock().unwrap();
-            if let Err(e) = inner.persist(&self.faults) {
-                first_err.get_or_insert(e);
+            match tenant.persist(&self.faults) {
+                Ok(()) => {}
+                Err(PersistError::Crash) => return Err(PersistError::Crash),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
             }
         }
         match first_err {
@@ -346,7 +475,7 @@ impl ServerHandle {
     pub fn stop(mut self) -> Result<(), String> {
         let result = self.shared.persist_all();
         self.halt();
-        result
+        result.map_err(|e| e.to_string())
     }
 
     /// Ungraceful stop: no checkpoint sweep, just halt — the in-process
@@ -505,11 +634,14 @@ fn recover_tenant(shared: &Shared, name: &str) -> TenantOutcome {
     shared.tenants.write().unwrap().insert(
         name.to_string(),
         Arc::new(Tenant {
+            persist: Mutex::new(Persister {
+                tip: loaded.chain.into_tip(),
+                storage,
+            }),
+            chain_len: AtomicU64::new(loaded.replay.applied as u64),
             inner: Mutex::new(TenantInner {
                 engine,
                 next_seq,
-                chain: loaded.chain,
-                storage,
                 wal,
                 wal_ok: true,
                 boot: TenantBoot {
@@ -658,16 +790,17 @@ fn handle_request(shared: &Shared, request: Request) -> (Response, Control) {
         ),
         Request::Ingest { tenant, seq, items } => ingest(shared, &tenant, seq, &items),
         Request::Query { tenant, query } => (query_tenant(shared, &tenant, &query), Control::None),
-        Request::Checkpoint { tenant } => (checkpoint_tenant(shared, &tenant), Control::None),
+        Request::Checkpoint { tenant } => checkpoint_tenant(shared, &tenant),
         Request::Stats { tenant } => (stats_tenant(shared, &tenant), Control::None),
         Request::Status => (status(shared), Control::None),
-        Request::Shutdown => {
-            let response = match shared.persist_all() {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Error(ServeError::Internal(e)),
-            };
-            (response, Control::Shutdown)
-        }
+        Request::Shutdown => match shared.persist_all() {
+            Ok(()) => (Response::Ok, Control::Shutdown),
+            Err(PersistError::Crash) => (Response::Ok, Control::Crash),
+            Err(e) => (
+                Response::Error(ServeError::Internal(e.to_string())),
+                Control::Shutdown,
+            ),
+        },
         Request::Crash => {
             if shared.faults.crash_frame_allowed() {
                 (Response::Ok, Control::Crash)
@@ -734,19 +867,19 @@ fn create_tenant(shared: &Shared, tenant: &str, algorithm: &str, shards: u32) ->
         Ok(w) => w,
         Err(e) => return Response::Error(ServeError::Internal(format!("creating journal: {e}"))),
     };
-    let chain = match CheckpointChain::new(base.encode(), 0) {
-        Ok(c) => c,
+    let tip = match ChainTip::new(base.encode(), 0) {
+        Ok(tip) => tip,
         Err(e) => return Response::Error(ServeError::Internal(format!("chain base: {e}"))),
     };
     let serve = engine.serve_handle();
     map.insert(
         tenant.to_string(),
         Arc::new(Tenant {
+            persist: Mutex::new(Persister { tip, storage }),
+            chain_len: AtomicU64::new(0),
             inner: Mutex::new(TenantInner {
                 engine,
                 next_seq: 0,
-                chain,
-                storage,
                 wal,
                 wal_ok: true,
                 boot: TenantBoot::fresh(),
@@ -829,14 +962,16 @@ fn ingest_admitted(shared: &Shared, tenant: &str, seq: u64, items: &[u64]) -> (R
         // retry of this seq appends to a clean journal.  If the checkpoint
         // fails too, the tenant refuses ingest until one succeeds, or until a
         // restart if the on-disk chain is broken; the refusal names which.
-        let detail = match inner.persist(&shared.faults) {
+        // The checkpoint takes the persist mutex, which the lock order puts
+        // before the tenant lock, so the tenant lock is released first.
+        drop(inner);
+        let detail = match tenant.persist(&shared.faults) {
             Ok(()) => format!("journal sync: {e}"),
+            Err(PersistError::Crash) => return (Response::Ok, Control::Crash),
             Err(ce) => format!("journal sync: {e}; checkpoint: {ce}"),
         };
-        return (
-            Response::Error(inner.journal_refusal(detail)),
-            Control::None,
-        );
+        let refusal = tenant.inner.lock().unwrap().journal_refusal(detail);
+        return (Response::Error(refusal), Control::None);
     }
     if shared.faults.crash_now(CrashPoint::AfterJournal, nth) {
         return (Response::Ok, Control::Crash);
@@ -869,14 +1004,20 @@ fn query_tenant(shared: &Shared, tenant: &str, query: &fsc_state::Query) -> Resp
     }
 }
 
-fn checkpoint_tenant(shared: &Shared, tenant: &str) -> Response {
+fn checkpoint_tenant(shared: &Shared, tenant: &str) -> (Response, Control) {
     let Some(tenant) = shared.tenant(tenant) else {
-        return Response::Error(ServeError::UnknownTenant(tenant.to_string()));
+        return (
+            Response::Error(ServeError::UnknownTenant(tenant.to_string())),
+            Control::None,
+        );
     };
-    let mut inner = tenant.inner.lock().unwrap();
-    match inner.persist(&shared.faults) {
-        Ok(()) => Response::Ok,
-        Err(e) => Response::Error(ServeError::Internal(e)),
+    match tenant.persist(&shared.faults) {
+        Ok(()) => (Response::Ok, Control::None),
+        Err(PersistError::Crash) => (Response::Ok, Control::Crash),
+        Err(e) => (
+            Response::Error(ServeError::Internal(e.to_string())),
+            Control::None,
+        ),
     }
 }
 
@@ -889,7 +1030,7 @@ fn stats_tenant(shared: &Shared, tenant: &str) -> Response {
         ingested: inner.engine.ingested(),
         next_seq: inner.next_seq,
         rebuilds: inner.engine.view_rebuilds(),
-        chain_len: inner.chain.len() as u64,
+        chain_len: tenant.chain_len.load(Ordering::Relaxed),
     })
 }
 

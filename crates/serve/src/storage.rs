@@ -8,7 +8,13 @@
 //! <root>/<tenant>/delta-000000.fscd # deltas, in append order
 //! <root>/<tenant>/delta-000001.fscd
 //! <root>/<tenant>/wal.fscw          # write-ahead batch journal (see `wal`)
+//! <root>/<tenant>/wal-retired.fscw  # the journal segment a checkpoint in flight covers
 //! ```
+//!
+//! The retired journal segment exists only between a checkpoint's journal
+//! rotation and the unlink that follows its durable delta (or, after a torn
+//! delta, until the next restart); recovery reads it ahead of `wal.fscw` and
+//! folds both into one `wal.fscw` (see [`crate::wal`]).
 //!
 //! Every durable write here is fsynced (file *and* parent directory), so
 //! "durable" means surviving power loss, not just process kill.
@@ -202,13 +208,33 @@ impl TenantStorage {
     /// stop truncating the journal, or acked batches past the tear would have
     /// no durable copy anywhere).
     pub fn append_delta(&mut self, delta: &[u8], faults: &FaultPlan) -> io::Result<bool> {
+        let (file, intact) = self.write_delta(delta, faults)?;
+        self.sync_delta(&file)?;
+        Ok(intact)
+    }
+
+    /// The first half of [`TenantStorage::append_delta`]: writes the blob
+    /// (through the fault plan) to the next delta file, unsynced.  Returns the
+    /// open file, for [`TenantStorage::sync_delta`], and whether the blob
+    /// landed intact.
+    pub fn write_delta(
+        &mut self,
+        delta: &[u8],
+        faults: &FaultPlan,
+    ) -> io::Result<(fs::File, bool)> {
         let path = delta_path(&self.dir, self.next_delta);
         self.next_delta += 1;
         let torn = faults.tear_write(delta);
-        let intact = torn.is_none();
-        durable_write(&path, torn.as_deref().unwrap_or(delta))?;
-        sync_dir(&self.dir)?;
-        Ok(intact)
+        let mut file = fs::File::create(path)?;
+        io::Write::write_all(&mut file, torn.as_deref().unwrap_or(delta))?;
+        Ok((file, torn.is_none()))
+    }
+
+    /// The second half of [`TenantStorage::append_delta`]: fsyncs a delta file
+    /// from [`TenantStorage::write_delta`] and then the tenant directory.
+    pub fn sync_delta(&self, file: &fs::File) -> io::Result<()> {
+        file.sync_all()?;
+        sync_dir(&self.dir)
     }
 
     /// The tenant directory.

@@ -30,10 +30,20 @@
 //! A failed fsync leaves the journal's unsynced tail of unknown content, so the
 //! journal then refuses appends until [`Wal::truncate`] empties it (see
 //! [`Wal::sync`]).
+//!
+//! # Segments
+//!
+//! A checkpoint retires the records it covers without waiting on the disk
+//! under the tenant lock: [`Wal::rotate`] renames `wal.fscw` to
+//! `wal-retired.fscw` ([`retired_path`]) and starts a fresh `wal.fscw`, and
+//! [`remove_retired`] unlinks the retired segment once the checkpoint's delta
+//! is durable. At most one retired segment exists. [`Wal::open`] reads it
+//! ahead of `wal.fscw` as one record stream and folds both into one
+//! `wal.fscw` before deleting it, so a recovered journal is always one file.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::faults::{FaultPlan, WalWriteFault};
@@ -132,9 +142,26 @@ fn fnv1a_record_checksum(seq: u64, items: &[u8]) -> u64 {
         })
 }
 
-/// Path of the journal inside a tenant directory.
+/// Path of the journal inside a tenant directory: the active segment, the one
+/// appends go to.
 pub fn wal_path(dir: &Path) -> PathBuf {
     dir.join("wal.fscw")
+}
+
+/// Path of the retired journal segment inside a tenant directory: the segment
+/// [`Wal::rotate`] moved aside, kept until the checkpoint covering it is
+/// durable (see [`remove_retired`]).
+pub fn retired_path(dir: &Path) -> PathBuf {
+    dir.join("wal-retired.fscw")
+}
+
+/// Unlinks the retired segment once a durable delta covers it, and fsyncs the
+/// directory so the unlink itself survives power loss: a retired segment that
+/// came back would stand in front of a journal truncated since, and recovery
+/// would stop at the seq gap between them.
+pub fn remove_retired(dir: &Path) -> io::Result<()> {
+    std::fs::remove_file(retired_path(dir))?;
+    sync_dir(dir)
 }
 
 /// When the server acknowledges an ingest batch, relative to durability.
@@ -386,6 +413,7 @@ pub enum WalAppend {
 /// Why a [`Wal`] refuses appends: what made its file untrustworthy.
 const FAILED_ROLLBACK: &str = "an append failed and could not be rolled back";
 const FAILED_FSYNC: &str = "an fsync failed, so its unsynced tail is of unknown content";
+const FAILED_ROTATION: &str = "a rotation moved the journal aside and could not put it back";
 
 /// An open per-tenant journal.
 #[derive(Debug)]
@@ -402,10 +430,13 @@ pub struct Wal {
     /// Lifetime appends since open — survive truncation, feed the cost sweep.
     appended_records: u64,
     appended_bytes: u64,
-    /// Set while the file cannot be trusted (`FAILED_ROLLBACK` or
-    /// `FAILED_FSYNC`): appends behind it would be stranded or duplicated.
-    /// A successful [`Wal::truncate`] clears it.
+    /// Set while the file cannot be trusted (`FAILED_ROLLBACK`,
+    /// `FAILED_FSYNC` or `FAILED_ROTATION`): appends behind it would be
+    /// stranded or duplicated. A successful [`Wal::truncate`] clears it.
     poisoned: Option<&'static str>,
+    /// Set by [`Wal::rotate`]: the fresh segment's directory entry is not yet
+    /// durable, so the next fsync also fsyncs the directory.
+    dir_unsynced: bool,
     /// The record being appended, reused so an append allocates nothing.
     record: Vec<u8>,
 }
@@ -423,6 +454,7 @@ impl Wal {
             appended_records: 0,
             appended_bytes: 0,
             poisoned: None,
+            dir_unsynced: false,
             record: Vec::new(),
         }
     }
@@ -430,15 +462,7 @@ impl Wal {
     /// Create a fresh journal in `dir`, durably (file and directory synced).
     pub fn create(dir: &Path) -> io::Result<Wal> {
         let path = wal_path(dir);
-        // `truncate` and `append` cannot be combined in `OpenOptions`; open in
-        // append mode and empty the file explicitly.
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&path)?;
-        file.set_len(0)?;
-        file.write_all(&header())?;
+        let file = new_segment(&path)?;
         file.sync_all()?;
         sync_dir(dir)?;
         Ok(Wal::opened(path, file, WAL_HEADER, 0))
@@ -451,14 +475,22 @@ impl Wal {
     /// journal existed recover exactly as they used to. A journal of an older
     /// version is rewritten as the current version, crash-atomically, so the
     /// appends that follow never mix versions in one file.
+    ///
+    /// A retired segment left by a checkpoint that did not finish (see
+    /// [`Wal::rotate`]) is read first, and the active segment's records after
+    /// it, as one record stream under the same scan, truncation and gap rules;
+    /// byte offsets count through that stream. The records kept are rewritten
+    /// into one `wal.fscw` crash-atomically, and only then is the retired
+    /// segment deleted.
     pub fn open(dir: &Path, cursor: u64) -> io::Result<(Wal, WalRecovery)> {
         let path = wal_path(dir);
-        if !path.exists() {
-            return Ok((Wal::create(dir)?, WalRecovery::default()));
-        }
-        let mut file = OpenOptions::new().read(true).append(true).open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let retired = read_if_present(&retired_path(dir))?;
+        let active = read_if_present(&path)?;
+        let (bytes, merged) = match (retired, active) {
+            (None, None) => return Ok((Wal::create(dir)?, WalRecovery::default())),
+            (None, Some(active)) => (active, false),
+            (Some(retired), active) => (join_segments(retired, active.unwrap_or_default()), true),
+        };
         let scanned = scan(&bytes);
         let mut recovery = WalRecovery {
             damage: scanned.damage,
@@ -469,7 +501,11 @@ impl Wal {
             // Header damage: nothing salvageable. Rewrite a fresh journal and
             // count every byte as truncated.
             recovery.truncated_bytes = bytes.len() as u64;
-            return Ok((Wal::create(dir)?, recovery));
+            let wal = Wal::create(dir)?;
+            if merged {
+                remove_retired(dir)?;
+            }
+            return Ok((wal, recovery));
         }
         let mut valid_len = scanned.valid_len;
         let mut records = scanned.records;
@@ -494,14 +530,23 @@ impl Wal {
         if valid_len < bytes.len() as u64 {
             recovery.truncated_bytes = bytes.len() as u64 - valid_len;
         }
-        if bytes[4..8] != WAL_VERSION.to_le_bytes() {
-            // Records keep their size across versions, so the rewrite is
-            // exactly `valid_len` bytes long and every offset still holds.
-            file = rewrite(dir, &records)?;
-        } else if recovery.truncated_bytes > 0 {
-            file.set_len(valid_len)?;
-            file.sync_all()?;
-        }
+        let file = if merged || bytes[4..8] != WAL_VERSION.to_le_bytes() {
+            // Records keep their size across versions and segments, so the
+            // rewrite is exactly `valid_len` bytes long and every offset
+            // still holds.
+            let file = rewrite(dir, &records)?;
+            if merged {
+                remove_retired(dir)?;
+            }
+            file
+        } else {
+            let file = OpenOptions::new().read(true).append(true).open(&path)?;
+            if recovery.truncated_bytes > 0 {
+                file.set_len(valid_len)?;
+                file.sync_all()?;
+            }
+            file
+        };
         recovery.skipped = first as u64;
         let kept = records.len() as u64;
         recovery.replay = records.split_off(first);
@@ -552,14 +597,34 @@ impl Wal {
     /// recovery stops at the duplicate. So nothing is appended until a
     /// checkpoint covers the applied batches and [`Wal::truncate`] empties
     /// the file.
+    ///
+    /// The first sync after a [`Wal::rotate`] also fsyncs the directory, so
+    /// the fresh segment's name is as durable as the appends it acks.
     pub fn sync(&mut self) -> io::Result<()> {
-        if let Err(e) = self.file.sync_all() {
+        if let Err(e) = self.sync_file() {
             self.poisoned = Some(FAILED_FSYNC);
             return Err(e);
         }
         self.synced_len = self.len;
         self.unsynced_appends = 0;
         Ok(())
+    }
+
+    /// Fsyncs the file, and the directory while a rotation's is pending.
+    fn sync_file(&mut self) -> io::Result<()> {
+        self.file.sync_all()?;
+        if self.dir_unsynced {
+            sync_dir(self.dir())?;
+            self.dir_unsynced = false;
+        }
+        Ok(())
+    }
+
+    /// The tenant directory the journal lives in.
+    fn dir(&self) -> &Path {
+        self.path
+            .parent()
+            .expect("a journal path names its directory")
     }
 
     /// Fsync only once `group_commit` appends have accumulated (a knob of 0
@@ -588,12 +653,59 @@ impl Wal {
     /// Success lifts any poisoning: the file is back to its synced header.
     pub fn truncate(&mut self) -> io::Result<()> {
         self.file.set_len(WAL_HEADER)?;
-        self.file.sync_all()?;
+        self.sync_file()?;
         self.len = WAL_HEADER;
         self.synced_len = WAL_HEADER;
         self.unsynced_appends = 0;
         self.records = 0;
         self.poisoned = None;
+        Ok(())
+    }
+
+    /// Switches appends to a fresh segment: renames `wal.fscw` to the retired
+    /// segment ([`retired_path`]) and creates a new, empty `wal.fscw`. The
+    /// checkpoint that rotates takes its snapshot under the same lock, so the
+    /// retired segment holds exactly the records that snapshot covers; once
+    /// the delta is durable, [`remove_retired`] drops them, and appends never
+    /// waited for the delta.
+    ///
+    /// If the segment being retired has unsynced appends, they are fsynced
+    /// first: otherwise a power loss could keep the new segment's synced
+    /// records but not the retired segment's tail, and recovery would drop
+    /// the new records past the gap. The new segment's header and directory
+    /// entry are not fsynced here; the next [`Wal::sync`] fsyncs both.
+    ///
+    /// A poisoned journal is never rotated: its records stay where the
+    /// truncate that lifts the poisoning will find them. A leftover retired
+    /// segment is replaced, so the caller must rotate only when the last one
+    /// is covered by a durable delta (or already unlinked).
+    pub fn rotate(&mut self) -> io::Result<()> {
+        if let Some(reason) = self.poisoned {
+            return Err(io::Error::other(format!(
+                "journal refuses to rotate until a checkpoint truncates it: {reason}"
+            )));
+        }
+        if self.synced_len < self.len {
+            self.sync()?;
+        }
+        let retired = retired_path(self.dir());
+        std::fs::rename(&self.path, &retired)?;
+        let file = match new_segment(&self.path) {
+            Ok(file) => file,
+            Err(e) => {
+                // Put the segment back so appends keep landing in
+                // `wal.fscw`; failing that, refuse them.
+                if std::fs::rename(&retired, &self.path).is_err() {
+                    self.poisoned = Some(FAILED_ROTATION);
+                }
+                return Err(e);
+            }
+        };
+        self.file = file;
+        self.len = WAL_HEADER;
+        self.synced_len = 0;
+        self.records = 0;
+        self.dir_unsynced = true;
         Ok(())
     }
 
@@ -636,6 +748,55 @@ impl Wal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Creates (or empties) the journal segment at `path` and writes the header,
+/// unsynced. Returns the file, open for appending.
+fn new_segment(path: &Path) -> io::Result<File> {
+    // `truncate` and `append` cannot be combined in `OpenOptions`; open in
+    // append mode and empty the file explicitly.
+    let mut file = OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(path)?;
+    file.set_len(0)?;
+    file.write_all(&header())?;
+    Ok(file)
+}
+
+/// The file's bytes, or `None` when it does not exist.
+fn read_if_present(path: &Path) -> io::Result<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// The seq field of an image's first record, unchecked, if the image holds
+/// a current-version header and a whole record's framing.
+fn first_seq(image: &[u8]) -> Option<u64> {
+    let seq = image.get(12..20).filter(|_| image[..8] == header())?;
+    Some(u64::from_le_bytes(seq.try_into().expect("8 bytes")))
+}
+
+/// The retired segment followed by the active one, as one journal image: the
+/// retired segment's bytes, then the active segment's records. An active
+/// segment without a current-version header (a rotation cut short by power
+/// loss) is appended whole, so [`scan`] stops at it and counts it truncated;
+/// an empty one adds nothing.
+///
+/// An active segment that starts with the retired segment's first record
+/// already holds it: recovery rewrote both into `wal.fscw` and died before
+/// unlinking the retired segment. That segment is then the whole image.
+fn join_segments(mut retired: Vec<u8>, active: Vec<u8>) -> Vec<u8> {
+    if first_seq(&retired).is_some() && first_seq(&retired) == first_seq(&active) {
+        return active;
+    }
+    let records = active.strip_prefix(&header()[..]).unwrap_or(&active);
+    retired.extend_from_slice(records);
+    retired
 }
 
 /// The current-version file header.
@@ -1034,5 +1195,138 @@ mod tests {
         let (_, recovery) = Wal::open(&dir, 1).unwrap();
         assert!(recovery.damage.is_none());
         assert_eq!(recovery.replay.len(), 1);
+    }
+
+    /// A journal in `dir` whose retired segment holds seqs `0..split` and
+    /// whose active segment holds `split..n`, as a rotation leaves it.
+    fn rotated(dir: &Path, split: u64, n: u64) -> Wal {
+        let faults = FaultPlan::none();
+        let mut wal = Wal::create(dir).unwrap();
+        for seq in 0..=n {
+            if seq == split {
+                wal.rotate().unwrap();
+                assert_eq!((wal.records(), wal.len()), (0, WAL_HEADER));
+            }
+            if seq < n {
+                wal.append(seq, &[seq, seq + 1], &faults).unwrap();
+            }
+        }
+        wal.sync().unwrap();
+        wal
+    }
+
+    #[test]
+    fn a_rotated_journal_recovers_both_segments_as_one() {
+        for cursor in [0, 2, 3, 4, 5] {
+            let dir = tmp_dir(&format!("rotated-{cursor}"));
+            drop(rotated(&dir, 3, 5));
+            assert!(retired_path(&dir).exists());
+
+            let (mut wal, recovery) = Wal::open(&dir, cursor).unwrap();
+            assert!(recovery.damage.is_none(), "cursor {cursor}");
+            assert_eq!(recovery.truncated_bytes, 0);
+            assert_eq!(recovery.skipped, cursor);
+            let seqs: Vec<u64> = recovery.replay.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, (cursor..5).collect::<Vec<_>>(), "cursor {cursor}");
+            assert!(!retired_path(&dir).exists(), "folded into wal.fscw");
+            assert_eq!(wal.records(), 5);
+            wal.append(5, &[9], &FaultPlan::none()).unwrap();
+            wal.sync().unwrap();
+            drop(wal);
+            let (_, again) = Wal::open(&dir, 0).unwrap();
+            assert!(again.damage.is_none());
+            assert_eq!(again.replay.len(), 6);
+        }
+    }
+
+    #[test]
+    fn a_retired_segment_left_by_a_finished_recovery_is_not_replayed_twice() {
+        // Recovery rewrites both segments into wal.fscw and then unlinks the
+        // retired one; a crash between the two leaves both on disk.
+        let dir = tmp_dir("merged-twice");
+        drop(rotated(&dir, 2, 4));
+        let retired = std::fs::read(retired_path(&dir)).unwrap();
+        drop(Wal::open(&dir, 0).unwrap());
+        std::fs::write(retired_path(&dir), &retired).unwrap();
+
+        let (wal, recovery) = Wal::open(&dir, 0).unwrap();
+        assert!(recovery.damage.is_none());
+        let seqs: Vec<u64> = recovery.replay.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3]);
+        assert_eq!(wal.records(), 4);
+        assert!(!retired_path(&dir).exists());
+    }
+
+    #[test]
+    fn a_rotation_cut_short_keeps_the_retired_records() {
+        // No fresh segment yet, an empty one, or one whose header was torn.
+        for (active, truncated) in [(None, 0), (Some(&[][..]), 0), (Some(&b"FSC"[..]), 3)] {
+            let dir = tmp_dir(&format!("cut-rotation-{truncated}-{}", active.is_some()));
+            drop(rotated(&dir, 3, 3));
+            match active {
+                None => std::fs::remove_file(wal_path(&dir)).unwrap(),
+                Some(bytes) => std::fs::write(wal_path(&dir), bytes).unwrap(),
+            }
+            let (_, recovery) = Wal::open(&dir, 0).unwrap();
+            assert_eq!(recovery.replay.len(), 3, "{active:?}");
+            assert_eq!(recovery.truncated_bytes, truncated, "{active:?}");
+            assert_eq!(recovery.damage.is_some(), truncated > 0, "{active:?}");
+            assert!(!retired_path(&dir).exists());
+            let (_, again) = Wal::open(&dir, 0).unwrap();
+            assert!(again.damage.is_none());
+            assert_eq!(again.replay.len(), 3);
+        }
+    }
+
+    #[test]
+    fn damage_in_the_retired_segment_strands_the_active_one() {
+        // One record stream: a corrupt retired record truncates everything
+        // after it, the active segment's records included.
+        let dir = tmp_dir("retired-damage");
+        drop(rotated(&dir, 2, 4));
+        let mut image = std::fs::read(retired_path(&dir)).unwrap();
+        let second = (WAL_HEADER + RECORD_OVERHEAD + 16) as usize;
+        image[second + RECORD_OVERHEAD as usize] ^= 0x5A;
+        std::fs::write(retired_path(&dir), &image).unwrap();
+        let active_records = std::fs::metadata(wal_path(&dir)).unwrap().len() - WAL_HEADER;
+
+        let (wal, recovery) = Wal::open(&dir, 0).unwrap();
+        assert!(matches!(
+            recovery.damage,
+            Some(WalError::BadChecksum { at }) if at == second as u64
+        ));
+        assert_eq!(recovery.replay.len(), 1);
+        assert_eq!(
+            recovery.truncated_bytes,
+            (image.len() - second) as u64 + active_records
+        );
+        assert_eq!(wal.len(), second as u64);
+    }
+
+    #[test]
+    fn rotation_syncs_the_retired_tail_and_refuses_a_poisoned_journal() {
+        let dir = tmp_dir("rotate-sync");
+        let faults = FaultPlan::none();
+        let mut wal = Wal::create(&dir).unwrap();
+        wal.append(0, &[1], &faults).unwrap();
+        assert!(wal.synced_len() < wal.len());
+        let retired_len = wal.len();
+        wal.rotate().unwrap();
+        assert_eq!(
+            std::fs::metadata(retired_path(&dir)).unwrap().len(),
+            retired_len
+        );
+        assert_eq!(wal.synced_len(), 0, "the fresh header is not synced yet");
+        wal.append(1, &[2], &faults).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.synced_len(), wal.len());
+
+        let failing = FaultPlan::none().with_failed_sync(1);
+        wal.append(2, &[3], &faults).unwrap();
+        assert!(wal.maybe_sync_with(1, &failing).is_err());
+        assert!(wal.rotate().is_err(), "a poisoned journal is never rotated");
+        assert_eq!(wal.records(), 2, "its records stay where they are");
+        wal.truncate().unwrap();
+        wal.rotate().unwrap();
     }
 }

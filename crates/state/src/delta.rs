@@ -22,6 +22,9 @@
 //!   [`CheckpointChain::restore_at`] (replay from the base up to the nearest
 //!   checkpoint at-or-before the asked epoch), and fold history into a fresh base
 //!   with [`CheckpointChain::compact`].
+//! * [`ChainTip`] — the tip alone, validated and applied per append exactly as the
+//!   chain does it, but keeping no delta: the in-memory state of a writer that
+//!   only persists deltas (the server's per-tenant chain).
 //!
 //! # Why a byte diff and not an address diff
 //!
@@ -211,30 +214,7 @@ pub fn encode_delta(
         return Err(SnapshotError::Corrupt("delta epoch precedes base epoch"));
     }
 
-    // Changed-word runs over the zero-padded word views.  Only `new`'s words need
-    // entries: apply_delta resizes the output to `new_len` before replaying runs,
-    // which already drops any base bytes past it, and it rejects runs beyond
-    // `new`'s word count — emitting shrink-truncated words here would make a
-    // sparse shrinking diff encode fine but fail to apply.
-    let words = new.len().div_ceil(8);
-    let mut runs: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut i = 0;
-    while i < words {
-        if padded_word(base, i) == padded_word(new, i) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        let mut changed = Vec::new();
-        while i < words && padded_word(base, i) != padded_word(new, i) {
-            changed.push(padded_word(new, i));
-            i += 1;
-        }
-        runs.push((start, changed));
-    }
-    let runs_bytes: usize = 8 + runs.iter().map(|(_, w)| 16 + 8 * w.len()).sum::<usize>();
-
-    let mut w = Vec::new();
+    let mut w = Vec::with_capacity(DELTA_OVERHEAD + algorithm.len() + new.len());
     w.extend_from_slice(&DELTA_MAGIC);
     w.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     w.extend_from_slice(&(algorithm.len() as u64).to_le_bytes());
@@ -244,22 +224,98 @@ pub fn encode_delta(
     w.extend_from_slice(&(base.len() as u64).to_le_bytes());
     w.extend_from_slice(&(new.len() as u64).to_le_bytes());
     w.extend_from_slice(&fnv1a(new).to_le_bytes());
-    if runs_bytes < 8 + new.len() {
-        w.push(0); // mode: changed-word runs
-        w.extend_from_slice(&(runs.len() as u64).to_le_bytes());
-        for (start, words) in &runs {
-            w.extend_from_slice(&(*start as u64).to_le_bytes());
-            w.extend_from_slice(&(words.len() as u64).to_le_bytes());
-            for word in words {
-                w.extend_from_slice(&word.to_le_bytes());
-            }
-        }
-    } else {
+    let mode_at = w.len();
+    if !push_runs(&mut w, base, new) {
+        w.truncate(mode_at);
         w.push(1); // mode: full payload embedded verbatim
         w.extend_from_slice(&(new.len() as u64).to_le_bytes());
         w.extend_from_slice(new);
     }
     Ok(w)
+}
+
+/// Appends the changed-word runs payload (mode tag 0, run count, then each run's
+/// start word, length and words) of `new` against `base` to `out`, comparing the
+/// two as zero-padded 8-byte words.  Only `new`'s words need entries:
+/// [`apply_delta`] resizes the output to `new_len` before replaying runs, which
+/// already drops any base bytes past it, and it rejects runs beyond `new`'s word
+/// count.
+///
+/// Returns false, leaving `out` partly written, once the runs reach `new.len()`
+/// bytes: embedding `new` verbatim is then no larger, so the caller falls back
+/// to it.  Run bytes only grow, so stopping there picks the same mode as
+/// measuring every run first.
+fn push_runs(out: &mut Vec<u8>, base: &[u8], new: &[u8]) -> bool {
+    out.push(0);
+    let count_at = out.len();
+    out.extend_from_slice(&0u64.to_le_bytes());
+    let limit = out.len() + new.len();
+    let mut runs = Runs {
+        out: &mut *out,
+        limit,
+        count: 0,
+        open: None,
+    };
+    // Whole words on both sides compare in place; only the words past the
+    // shorter side's last whole word need padding.
+    let whole = base.len().min(new.len()) / 8;
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+    let pairs = base[..8 * whole]
+        .chunks_exact(8)
+        .zip(new[..8 * whole].chunks_exact(8));
+    for (i, (b, n)) in pairs.enumerate() {
+        let (b, n) = (word(b), word(n));
+        if (b != n || runs.open.is_some()) && !runs.word(i, b, n) {
+            return false;
+        }
+    }
+    for i in whole..new.len().div_ceil(8) {
+        if !runs.word(i, padded_word(base, i), padded_word(new, i)) {
+            return false;
+        }
+    }
+    runs.close();
+    let count = runs.count;
+    out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+    true
+}
+
+/// The changed-word runs [`push_runs`] is writing.
+struct Runs<'a> {
+    out: &'a mut Vec<u8>,
+    /// `out` must stay shorter than this for runs to beat the embedded payload.
+    limit: usize,
+    count: u64,
+    /// Offset in `out` of the open run's length field.
+    open: Option<usize>,
+}
+
+impl Runs<'_> {
+    /// Visits word `i` (`base` word `b`, `new` word `n`): extends or opens a run
+    /// when they differ, closes the open run when they do not.  False once the
+    /// runs have outgrown [`Runs::limit`].
+    fn word(&mut self, i: usize, b: u64, n: u64) -> bool {
+        if b == n {
+            self.close();
+            return true;
+        }
+        if self.open.is_none() {
+            self.count += 1;
+            self.out.extend_from_slice(&(i as u64).to_le_bytes());
+            self.open = Some(self.out.len());
+            self.out.extend_from_slice(&0u64.to_le_bytes());
+        }
+        self.out.extend_from_slice(&n.to_le_bytes());
+        self.out.len() < self.limit
+    }
+
+    /// Writes the open run's length, if a run is open.
+    fn close(&mut self) {
+        if let Some(at) = self.open.take() {
+            let len = ((self.out.len() - at - 8) / 8) as u64;
+            self.out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        }
+    }
 }
 
 /// Parses a delta's header without applying it (ordering/identity checks, labeling).
@@ -360,6 +416,68 @@ pub fn apply_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, SnapshotError> 
     Ok(out)
 }
 
+/// The tip of a delta chain without its history: the full checkpoint the last
+/// appended delta reconstructs, and its epoch.
+///
+/// This is all a writer persisting deltas needs in memory: each append is
+/// validated and applied exactly as [`CheckpointChain::append_delta`] does it
+/// (algorithm identity, ordering, base length and the reconstruction checksum),
+/// but the delta is not kept, so memory stays one checkpoint however many
+/// deltas are appended.
+#[derive(Debug, Clone)]
+pub struct ChainTip {
+    algorithm: String,
+    bytes: Vec<u8>,
+    epoch: u64,
+}
+
+impl ChainTip {
+    /// A tip at the full checkpoint `bytes`, taken at `epoch`.
+    pub fn new(bytes: Vec<u8>, epoch: u64) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            algorithm: SnapshotReader::peek_algorithm(&bytes)?,
+            bytes,
+            epoch,
+        })
+    }
+
+    /// Applies `delta` to the tip after validating algorithm identity and
+    /// ordering, and returns its header.  On error the tip is unchanged.
+    pub fn append_delta(&mut self, delta: &[u8]) -> Result<DeltaInfo, SnapshotError> {
+        let info = peek_delta(delta)?;
+        if info.algorithm != self.algorithm {
+            return Err(SnapshotError::WrongAlgorithm {
+                expected: self.algorithm.clone(),
+                found: info.algorithm,
+            });
+        }
+        if info.base_epoch != self.epoch {
+            return Err(SnapshotError::OutOfOrderDelta {
+                expected: self.epoch,
+                found: info.base_epoch,
+            });
+        }
+        self.bytes = apply_delta(&self.bytes, delta)?;
+        self.epoch = info.epoch;
+        Ok(info)
+    }
+
+    /// The algorithm id of the tip checkpoint.
+    pub fn algorithm(&self) -> &str {
+        &self.algorithm
+    }
+
+    /// The full checkpoint at the tip.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The epoch of the tip.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
 /// A base checkpoint plus an ordered run of deltas — the durable form of an
 /// incrementally persisted summary, and the index time-travel queries run against.
 ///
@@ -370,24 +488,19 @@ pub fn apply_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, SnapshotError> 
 /// rejected instead of reconstructing garbage.
 #[derive(Debug, Clone)]
 pub struct CheckpointChain {
-    algorithm: String,
     base: Vec<u8>,
     base_epoch: u64,
     /// `(epoch, delta bytes)` in append order; epochs are non-decreasing.
     deltas: Vec<(u64, Vec<u8>)>,
     /// Reconstruction of the tip (cached so appends validate in O(delta)).
-    tip: Vec<u8>,
-    tip_epoch: u64,
+    tip: ChainTip,
 }
 
 impl CheckpointChain {
     /// Starts a chain from a full checkpoint taken at `base_epoch`.
     pub fn new(base: Vec<u8>, base_epoch: u64) -> Result<Self, SnapshotError> {
-        let algorithm = SnapshotReader::peek_algorithm(&base)?;
         Ok(Self {
-            algorithm,
-            tip: base.clone(),
-            tip_epoch: base_epoch,
+            tip: ChainTip::new(base.clone(), base_epoch)?,
             base,
             base_epoch,
             deltas: Vec::new(),
@@ -439,7 +552,7 @@ impl CheckpointChain {
 
     /// The algorithm id shared by the base and every delta.
     pub fn algorithm(&self) -> &str {
-        &self.algorithm
+        self.tip.algorithm()
     }
 
     /// Epoch of the chain's base checkpoint.
@@ -449,7 +562,7 @@ impl CheckpointChain {
 
     /// Epoch of the chain's tip (base epoch when no deltas are appended).
     pub fn tip_epoch(&self) -> u64 {
-        self.tip_epoch
+        self.tip.epoch()
     }
 
     /// Number of deltas currently in the chain.
@@ -466,7 +579,7 @@ impl CheckpointChain {
     /// against the tip, appends it, and reports the sizes.  This is the persistence
     /// write path: only the returned `delta_bytes` need to be made durable.
     pub fn record(&mut self, full: &[u8], epoch: u64) -> Result<DeltaStats, SnapshotError> {
-        let delta = encode_delta(&self.tip, full, self.tip_epoch, epoch)?;
+        let delta = encode_delta(self.tip.bytes(), full, self.tip.epoch(), epoch)?;
         let stats = DeltaStats {
             epoch,
             full_bytes: full.len(),
@@ -480,33 +593,24 @@ impl CheckpointChain {
     /// validating algorithm identity, ordering, and base identity before advancing
     /// the tip.
     pub fn append_delta(&mut self, delta: Vec<u8>) -> Result<(), SnapshotError> {
-        let info = peek_delta(&delta)?;
-        if info.algorithm != self.algorithm {
-            return Err(SnapshotError::WrongAlgorithm {
-                expected: self.algorithm.clone(),
-                found: info.algorithm,
-            });
-        }
-        if info.base_epoch != self.tip_epoch {
-            return Err(SnapshotError::OutOfOrderDelta {
-                expected: self.tip_epoch,
-                found: info.base_epoch,
-            });
-        }
-        self.tip = apply_delta(&self.tip, &delta)?;
-        self.tip_epoch = info.epoch;
+        let info = self.tip.append_delta(&delta)?;
         self.deltas.push((info.epoch, delta));
         Ok(())
     }
 
+    /// The tip alone, dropping the base and the retained deltas.
+    pub fn into_tip(self) -> ChainTip {
+        self.tip
+    }
+
     /// The reconstructed full checkpoint at the tip of the chain.
     pub fn tip_bytes(&self) -> &[u8] {
-        &self.tip
+        self.tip.bytes()
     }
 
     /// Restores a summary from the tip of the chain.
     pub fn restore<A: Snapshot>(&self) -> Result<A, SnapshotError> {
-        A::restore(&self.tip)
+        A::restore(self.tip.bytes())
     }
 
     /// Time travel: the full checkpoint as of `epoch` — the latest checkpoint in the
@@ -544,8 +648,8 @@ impl CheckpointChain {
     /// which is the intended trade: a compacted chain costs one full checkpoint of
     /// storage and zero replay work.
     pub fn compact(&mut self) {
-        self.base = self.tip.clone();
-        self.base_epoch = self.tip_epoch;
+        self.base = self.tip.bytes().to_vec();
+        self.base_epoch = self.tip.epoch();
         self.deltas.clear();
     }
 
@@ -918,5 +1022,189 @@ mod tests {
         assert!(stats.delta_bytes < stats.full_bytes);
         assert_eq!(chain.delta_bytes(), stats.delta_bytes);
         assert_eq!(chain.total_bytes(), v0.len() + stats.delta_bytes);
+    }
+
+    /// The encoder as it was before it compared whole words in place and wrote
+    /// runs straight into its output: every word through `padded_word`, one
+    /// `Vec` per run, the mode chosen after all runs are measured.  Kept as the
+    /// reference [`encode_delta`] must match byte for byte.
+    fn reference_encode_delta(base: &[u8], new: &[u8], base_epoch: u64, epoch: u64) -> Vec<u8> {
+        let algorithm = SnapshotReader::peek_algorithm(base).unwrap();
+        let words = new.len().div_ceil(8);
+        let mut runs: Vec<(usize, Vec<u64>)> = Vec::new();
+        let mut i = 0;
+        while i < words {
+            if padded_word(base, i) == padded_word(new, i) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let mut changed = Vec::new();
+            while i < words && padded_word(base, i) != padded_word(new, i) {
+                changed.push(padded_word(new, i));
+                i += 1;
+            }
+            runs.push((start, changed));
+        }
+        let runs_bytes: usize = 8 + runs.iter().map(|(_, w)| 16 + 8 * w.len()).sum::<usize>();
+        let mut w = Vec::new();
+        w.extend_from_slice(&DELTA_MAGIC);
+        w.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        w.extend_from_slice(&(algorithm.len() as u64).to_le_bytes());
+        w.extend_from_slice(algorithm.as_bytes());
+        w.extend_from_slice(&base_epoch.to_le_bytes());
+        w.extend_from_slice(&epoch.to_le_bytes());
+        w.extend_from_slice(&(base.len() as u64).to_le_bytes());
+        w.extend_from_slice(&(new.len() as u64).to_le_bytes());
+        w.extend_from_slice(&fnv1a(new).to_le_bytes());
+        if runs_bytes < 8 + new.len() {
+            w.push(0);
+            w.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+            for (start, words) in &runs {
+                w.extend_from_slice(&(*start as u64).to_le_bytes());
+                w.extend_from_slice(&(words.len() as u64).to_le_bytes());
+                for word in words {
+                    w.extend_from_slice(&word.to_le_bytes());
+                }
+            }
+        } else {
+            w.push(1);
+            w.extend_from_slice(&(new.len() as u64).to_le_bytes());
+            w.extend_from_slice(new);
+        }
+        w
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A checkpoint of `words` payload words followed by `tail` bytes (so its
+    /// length is unaligned for most `tail`), under an id of `id_len` bytes.
+    fn random_checkpoint(rng: &mut u64, id_len: usize, words: usize, tail: usize) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(&"x".repeat(id_len));
+        for _ in 0..words {
+            w.u64(splitmix(rng) % 4);
+        }
+        for _ in 0..tail {
+            w.u8(splitmix(rng) as u8 % 3);
+        }
+        w.finish()
+    }
+
+    /// Returns a copy of `base`'s payload edited in place at a random density:
+    /// nothing, a few words, or most of them.
+    fn mutate(rng: &mut u64, base: &[u8], header: usize) -> Vec<u8> {
+        let mut out = base.to_vec();
+        let every = 1 + splitmix(rng) % 40;
+        for byte in out.iter_mut().skip(header) {
+            if splitmix(rng).is_multiple_of(every) {
+                *byte ^= 1 + (splitmix(rng) % 255) as u8;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn encode_delta_is_byte_identical_to_the_reference_encoder() {
+        let mut rng = 0xDE17A;
+        let mut modes = [0usize; 2];
+        for case in 0..3000 {
+            let id_len = 1 + (splitmix(&mut rng) % 11) as usize;
+            let a_words = (splitmix(&mut rng) % 48) as usize;
+            let a_tail = (splitmix(&mut rng) % 9) as usize;
+            let base = random_checkpoint(&mut rng, id_len, a_words, a_tail);
+            let new = match case % 4 {
+                // identical inputs
+                0 => base.clone(),
+                // same length, sparse or dense edits
+                1 => mutate(&mut rng, &base, 14 + id_len),
+                // growth, shrink or an unrelated length
+                _ => {
+                    let b_words = (splitmix(&mut rng) % 48) as usize;
+                    let b_tail = (splitmix(&mut rng) % 9) as usize;
+                    let other = random_checkpoint(&mut rng, id_len, b_words, b_tail);
+                    // Share a prefix with the base so growth and shrink diff
+                    // sparsely, not only through the embedded fallback.
+                    let mut new = base.clone();
+                    new.resize(other.len(), 0);
+                    let from = (splitmix(&mut rng) as usize) % (new.len() + 1);
+                    new[from..].copy_from_slice(&other[from..]);
+                    new
+                }
+            };
+            let (e0, e1) = (splitmix(&mut rng) % 100, splitmix(&mut rng) % 100);
+            let delta = encode_delta(&base, &new, e0, e0 + e1).unwrap();
+            assert_eq!(
+                delta,
+                reference_encode_delta(&base, &new, e0, e0 + e1),
+                "case {case}: {} -> {} bytes",
+                base.len(),
+                new.len()
+            );
+            assert_eq!(apply_delta(&base, &delta).unwrap(), new, "case {case}");
+            modes[usize::from(delta[DELTA_OVERHEAD - 9 + id_len] == 1)] += 1;
+        }
+        assert!(
+            modes[0] > 100 && modes[1] > 100,
+            "both payload modes are covered: {modes:?}"
+        );
+
+        // The mode boundary: one run of `k` changed words costs `16 + 8k`
+        // bytes, which meets a word-aligned checkpoint's length at the last
+        // `k`, where the payload must be embedded.  A 2-byte id ends the
+        // header at byte 16, so the run can start at word 2.
+        let base = (0..8)
+            .map(|tail| random_checkpoint(&mut rng, 2, 20, tail))
+            .find(|c| c.len() % 8 == 0)
+            .expect("some tail aligns the checkpoint");
+        for k in 0..=base.len() / 8 - 2 {
+            let mut new = base.clone();
+            for byte in &mut new[16..16 + 8 * k] {
+                *byte ^= 0xA5;
+            }
+            let delta = encode_delta(&base, &new, 0, 1).unwrap();
+            assert_eq!(delta, reference_encode_delta(&base, &new, 0, 1), "k {k}");
+        }
+    }
+
+    #[test]
+    fn a_tip_validates_and_applies_like_the_chain_without_keeping_deltas() {
+        let v0 = checkpoint_with("unit", &[0, 0, 0, 0]);
+        let v1 = checkpoint_with("unit", &[1, 0, 0, 0]);
+        let v2 = checkpoint_with("unit", &[1, 2, 0, 0]);
+        let mut chain = CheckpointChain::new(v0.clone(), 0).unwrap();
+        let mut tip = ChainTip::new(v0.clone(), 0).unwrap();
+        for (full, epoch) in [(&v1, 10), (&v2, 20)] {
+            let delta = encode_delta(tip.bytes(), full, tip.epoch(), epoch).unwrap();
+            assert_eq!(tip.append_delta(&delta).unwrap().epoch, epoch);
+            chain.append_delta(delta).unwrap();
+            assert_eq!(tip.bytes(), chain.tip_bytes());
+            assert_eq!(tip.epoch(), chain.tip_epoch());
+        }
+        // The same typed refusals, and a refused append leaves the tip as it was.
+        let stale = encode_delta(&v0, &v1, 0, 10).unwrap();
+        assert_eq!(
+            tip.append_delta(&stale).unwrap_err(),
+            SnapshotError::OutOfOrderDelta {
+                expected: 20,
+                found: 0
+            }
+        );
+        let mut forged = encode_delta(&v2, &v1, 20, 30).unwrap();
+        let last = forged.len() - 1;
+        forged[last] ^= 0x40;
+        assert_eq!(
+            tip.append_delta(&forged).unwrap_err(),
+            SnapshotError::MissingBase
+        );
+        assert_eq!((tip.bytes(), tip.epoch()), (&v2[..], 20));
+        let recovered = chain.into_tip();
+        assert_eq!((recovered.bytes(), recovered.epoch()), (&v2[..], 20));
+        assert_eq!(recovered.algorithm(), "unit");
     }
 }
